@@ -198,37 +198,14 @@ type Cactus = cactus.Cactus
 // CactusEdge is an edge of a Cactus (tree or cycle).
 type CactusEdge = cactus.Edge
 
-// CutEnumStrategy selects the all-minimum-cuts enumeration algorithm.
-type CutEnumStrategy = cactus.Strategy
-
-const (
-	// StrategyAuto picks the default enumeration strategy (currently
-	// StrategyKT).
-	StrategyAuto = cactus.StrategyAuto
-	// StrategyKT is the Karzanov–Timofeev recursion: λ-capped flow
-	// augmentation per kernel vertex against a shared residual network,
-	// nested per-step cut chains, no deduplication. O(n·m)-flavored and
-	// robust on cycle-heavy inputs with Θ(n²) minimum cuts. Its steps
-	// shard across AllCutsOptions.Workers — each worker walks a
-	// contiguous segment of the adjacency order on its own residual
-	// network — with output identical for every worker count.
-	StrategyKT = cactus.StrategyKT
-	// StrategyQuadratic is the reference implementation kept for
-	// differential testing: one from-scratch max flow and one full
-	// Picard–Queyranne enumeration per kernel vertex, deduplicated in a
-	// shared hash set (each cut is rediscovered once per far-side vertex).
-	StrategyQuadratic = cactus.StrategyQuadratic
-)
-
 // AllCutsOptions configures AllMinCuts. The zero value runs the
 // Karzanov–Timofeev enumeration after an all-cuts-preserving
 // kernelization, with GOMAXPROCS workers for the kernelization and the
 // enumeration alike.
 type AllCutsOptions struct {
 	// Workers bounds parallelism (≤ 0 means GOMAXPROCS) across the
-	// pipeline: the λ solve, the kernelization, and the cut enumeration
-	// (sharded KT steps, respectively the quadratic per-target fan-out).
-	// The result is identical for every worker count.
+	// pipeline: the λ solve, the kernelization, and the sharded KT cut
+	// enumeration. The result is identical for every worker count.
 	Workers int
 	// Seed drives randomized choices (default 1).
 	Seed uint64
@@ -236,8 +213,6 @@ type AllCutsOptions struct {
 	// (≤ 0 means a 2²⁰ safety default; the theory bounds the count by
 	// n(n-1)/2 for connected graphs).
 	MaxCuts int
-	// Strategy selects the enumeration algorithm (StrategyAuto = KT).
-	Strategy CutEnumStrategy
 	// NoMaterialize skips building AllCuts.Cuts — Θ(C·n) bytes for C
 	// cuts, Θ(n³) on cycle-heavy graphs. The cactus is still built;
 	// stream the cuts from it with Cactus.EachMinCut.
@@ -260,10 +235,12 @@ type AllCuts = cactus.Result
 // representation. λ comes from the parallel exact solver (AlgoParallel);
 // the graph is then contracted by CAPFOREST certificates strictly above λ
 // (which preserves the full minimum-cut family), and the kernel's cuts
-// are enumerated — by default with the Karzanov–Timofeev recursion
-// (StrategyKT): kernel vertices are visited in an adjacency order, one
-// shared residual network carries the flow across steps, each step
-// augments to at most λ and reads its minimum cuts off as a nested chain.
+// are enumerated with the Karzanov–Timofeev recursion: kernel vertices
+// are visited in an adjacency order, one shared residual network carries
+// the flow across steps, each step augments to at most λ and reads its
+// minimum cuts off as a nested chain. The steps shard across
+// AllCutsOptions.Workers, each worker walking a contiguous segment of
+// the adjacency order on its own residual network.
 // The cuts are assembled into the Dinitz–Karzanov–Lomonosov cactus, in
 // which every minimum cut is the removal of one tree edge or of two edges
 // of one cycle.

@@ -8,10 +8,10 @@
 //
 // Output goes to stdout in tab-separated tables whose rows and series
 // match the corresponding paper figure; EXPERIMENTS.md interprets them.
-// The cactus experiment times the all-minimum-cuts strategies (KT vs
-// quadratic) and, with -json, writes the BENCH_cactus.json baseline;
-// -instance restricts it to instances whose name contains the given
-// substring (the CI smoke runs one small ring). The solve experiment
+// The cactus experiment times the all-minimum-cuts pipeline at one and
+// at GOMAXPROCS workers and, with -json, writes the BENCH_cactus.json
+// baseline; -instance restricts it to instances whose name contains the
+// given substring (the CI smoke runs one small ring). The solve experiment
 // times the solver set on the real-instance corpus of internal/datasets
 // and, with -json, writes the BENCH_solve.json baseline; external
 // instances are skipped unless $REPRO_DATASETS provides them. The
@@ -133,17 +133,17 @@ func run() int {
 	case "cactus":
 		cms := bench.CactusBench(w, s, *instance)
 		if *jsonPath != "" {
-			writeJSON(bench.WriteCactusJSON(*jsonPath, cms))
+			writeJSON(bench.WriteJSON(*jsonPath, cms))
 		}
 	case "solve":
 		sms := bench.SolveBench(w, s)
 		if *jsonPath != "" {
-			writeJSON(bench.WriteSolveJSON(*jsonPath, sms))
+			writeJSON(bench.WriteJSON(*jsonPath, sms))
 		}
 	case "service":
 		sms := bench.ServiceBench(w, s)
 		if *jsonPath != "" {
-			writeJSON(bench.WriteServiceJSON(*jsonPath, sms))
+			writeJSON(bench.WriteJSON(*jsonPath, sms))
 		}
 	case "all":
 		ms := bench.Fig2(w, s)

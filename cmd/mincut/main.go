@@ -5,20 +5,21 @@
 //	mincut [-algo parcut|noi|noi-hnss|ho|sw|ks|viecut|matula]
 //	       [-queue bstack|bqueue|heap] [-workers N] [-seed S]
 //	       [-format auto|metis|edgelist|matrixmarket] [-side] [-all]
-//	       [-strategy auto|kt|quadratic] graphfile
+//	       [-st s,t] graphfile
 //
 // The graph is read in METIS format by default ("-" reads stdin);
 // -format matrixmarket reads SuiteSparse .mtx files, and -format auto
 // detects the format from the extension (.mtx → MatrixMarket, .txt/.el
 // → edge list, anything else → METIS). The program prints the cut
 // value, the algorithm, the wall time, and with -side the vertices of
-// the smaller cut side. With -all it enumerates every minimum cut (by
-// default with the Karzanov–Timofeev strategy, its steps sharded across
-// -workers; -strategy quadratic selects the per-vertex reference
-// enumeration), prints the count and the cactus summary, and with -side
-// additionally one line per cut, streamed from the cactus without
-// materializing the full cut list. The enumeration output is identical
-// for every -workers value.
+// the smaller cut side. With -all it enumerates every minimum cut with
+// the Karzanov–Timofeev recursion, its steps sharded across -workers,
+// prints the count and the cactus summary, and with -side additionally
+// one line per cut, streamed from the cactus without materializing the
+// full cut list. The enumeration output is identical for every -workers
+// value. With -st it computes one minimum s-t cut; a malformed pair, a
+// terminal that is not a vertex of the graph, or s == t exits with
+// status 2.
 //
 // SIGINT cancels the computation at the next phase boundary; the
 // partial progress (the best bound so far for the solver) is printed
@@ -53,7 +54,6 @@ func main() {
 	tree := flag.Bool("tree", false, "build the Gomory-Hu flow tree and print per-vertex connectivity stats")
 	all := flag.Bool("all", false, "enumerate ALL minimum cuts and print the cactus summary")
 	maxCuts := flag.Int("maxcuts", 0, "with -all: abort if more minimum cuts than this (0 = the library default)")
-	strategy := flag.String("strategy", "auto", "with -all: enumeration strategy: auto, kt, quadratic")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -75,7 +75,13 @@ func main() {
 		os.Exit(2)
 	}
 	if *st != "" {
-		runST(g, *st)
+		if err := runST(ctx, os.Stdout, g, *st); err != nil {
+			fmt.Fprintf(os.Stderr, "mincut: %v\n", err)
+			if errors.Is(err, context.Canceled) {
+				os.Exit(130)
+			}
+			os.Exit(2)
+		}
 		return
 	}
 	if *tree {
@@ -88,17 +94,6 @@ func main() {
 		// materialized boolean sides would cost Θ(n³) bytes.
 		opts := mincut.AllCutsOptions{
 			Workers: *workers, Seed: *seed, MaxCuts: *maxCuts, NoMaterialize: true,
-		}
-		switch *strategy {
-		case "auto":
-			opts.Strategy = mincut.StrategyAuto
-		case "kt":
-			opts.Strategy = mincut.StrategyKT
-		case "quadratic":
-			opts.Strategy = mincut.StrategyQuadratic
-		default:
-			fmt.Fprintf(os.Stderr, "mincut: unknown strategy %q\n", *strategy)
-			os.Exit(2)
 		}
 		if err := runAll(ctx, os.Stdout, g, opts, *side); err != nil {
 			fmt.Fprintf(os.Stderr, "mincut: %v\n", err)
@@ -191,8 +186,8 @@ func runAll(ctx context.Context, w io.Writer, g *mincut.Graph, opts mincut.AllCu
 		return nil
 	}
 	fmt.Fprintf(w, "lambda: %d\n", all.Lambda)
-	fmt.Fprintf(w, "minimum cuts: %d distinct in %v (kernel: %d vertices, strategy: %v)\n",
-		all.NumCuts(), elapsed, all.KernelVertices, all.Strategy)
+	fmt.Fprintf(w, "minimum cuts: %d distinct in %v (kernel: %d vertices)\n",
+		all.NumCuts(), elapsed, all.KernelVertices)
 	if c := all.Cactus; c != nil {
 		fmt.Fprintf(w, "cactus: %d nodes, %d tree edges, %d cycles\n",
 			c.NumNodes, c.NumTreeEdges(), c.NumCycles)
@@ -222,23 +217,27 @@ func runAll(ctx context.Context, w io.Writer, g *mincut.Graph, opts mincut.AllCu
 	return nil
 }
 
-// runST computes a single minimum s-t cut.
-func runST(g *mincut.Graph, spec string) {
+// runST computes a single minimum s-t cut. A malformed spec and
+// terminals the graph does not accept are errors.
+func runST(ctx context.Context, w io.Writer, g *mincut.Graph, spec string) error {
 	var s, t int32
 	if _, err := fmt.Sscanf(spec, "%d,%d", &s, &t); err != nil {
-		fmt.Fprintf(os.Stderr, "mincut: bad -st %q (want \"s,t\")\n", spec)
-		os.Exit(2)
+		return fmt.Errorf("bad -st %q (want \"s,t\")", spec)
 	}
 	start := time.Now()
-	val, side := mincut.MinSTCut(g, s, t)
-	fmt.Printf("min %d-%d cut: %d in %v\n", s, t, val, time.Since(start))
+	val, side, err := mincut.NewSnapshot(g, mincut.SnapshotOptions{}).STMinCut(ctx, s, t)
+	if err != nil {
+		return fmt.Errorf("-st %s: %w", spec, err)
+	}
+	fmt.Fprintf(w, "min %d-%d cut: %d in %v\n", s, t, val, time.Since(start))
 	count := 0
 	for _, in := range side {
 		if in {
 			count++
 		}
 	}
-	fmt.Printf("s-side size: %d of %d\n", count, g.NumVertices())
+	fmt.Fprintf(w, "s-side size: %d of %d\n", count, g.NumVertices())
+	return nil
 }
 
 // runTree builds the flow-equivalent tree and summarizes connectivity.

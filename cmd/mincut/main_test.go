@@ -120,3 +120,22 @@ func TestRunAllDisconnected(t *testing.T) {
 		t.Fatalf("unexpected output:\n%s", out.String())
 	}
 }
+
+// TestRunSTRejectsBadPair checks that runST reports malformed pairs and
+// terminals the graph does not have as errors instead of panicking.
+func TestRunSTRejectsBadPair(t *testing.T) {
+	g := ringGraph(t, 6)
+	for _, spec := range []string{"0,9", "2,2", "-1,0", "0;3"} {
+		var out strings.Builder
+		if err := runST(context.Background(), &out, g, spec); err == nil {
+			t.Errorf("runST(%q) succeeded:\n%s", spec, out.String())
+		}
+	}
+	var out strings.Builder
+	if err := runST(context.Background(), &out, g, "0,3"); err != nil {
+		t.Fatalf("runST(\"0,3\"): %v", err)
+	}
+	if !strings.Contains(out.String(), "min 0-3 cut: 2 ") {
+		t.Fatalf("unexpected output:\n%s", out.String())
+	}
+}

@@ -83,9 +83,7 @@
 //     following the same authors' "Finding All Global Minimum Cuts in
 //     Practice": λ from the parallel solver, an all-cuts-preserving
 //     kernelization (CAPFOREST certificates strictly above λ), the
-//     Karzanov–Timofeev enumeration over one shared residual network
-//     (StrategyKT, the default, with the per-vertex Picard–Queyranne
-//     enumeration kept as StrategyQuadratic for differential testing),
+//     Karzanov–Timofeev enumeration over one shared residual network,
 //     and assembly into the Dinitz–Karzanov–Lomonosov cactus;
 //   - graph construction, METIS/edge-list/MatrixMarket I/O, k-core
 //     preprocessing and the paper's workload generators (random
@@ -122,30 +120,25 @@
 //	all, err := mincut.AllMinCuts(g, mincut.AllCutsOptions{})
 //	fmt.Println(all.Lambda, all.NumCuts(), all.Cactus)
 //
-// Two enumeration strategies are available through
-// AllCutsOptions.Strategy. The default, StrategyKT, is the
-// Karzanov–Timofeev recursion: kernel vertices are visited in an
-// adjacency order, a residual network carries the flow state across
-// steps (each step only augments, capped at λ, instead of running a
-// from-scratch max flow), and the minimum cuts of each step form a
-// nested chain read off the residual strongly-connected components —
-// every cut found exactly once, O(n·m)-flavored overall. The steps
-// shard across AllCutsOptions.Workers: each worker walks a contiguous
-// segment of the adjacency order on its own residual network with the
-// segment's prefix pre-absorbed as its contracted source, and the
-// per-segment chains concatenate in step order, so the output is
-// identical for every worker count. The reference StrategyQuadratic
-// runs one full Picard–Queyranne enumeration per kernel vertex and
-// deduplicates (each cut is rediscovered once per far-side vertex); it
-// remains the differential-testing baseline. On cut-heavy inputs such
-// as the unit n-cycle (Θ(n²) minimum cuts) KT enumerates dozens of
-// times faster, and the cactus assembly groups crossing cuts in one
-// size-ascending sweep instead of a pairwise crossing test. AllCutsOptions.NoMaterialize skips the Θ(C·n)
-// materialized cut list; stream the cuts with Cactus.EachMinCut instead
-// (cmd/mincut -all does this by default). EachMinCut walks the cactus
-// with O(n) auxiliary state: duplicate cuts arising from empty cactus
-// nodes are suppressed structurally (equivalence classes of edges
-// through empty two-unit nodes), not by hashing emitted cuts.
+// The cuts are enumerated with the Karzanov–Timofeev recursion: kernel
+// vertices are visited in an adjacency order, a residual network
+// carries the flow state across steps (each step only augments, capped
+// at λ, instead of running a from-scratch max flow), and the minimum
+// cuts of each step form a nested chain read off the residual
+// strongly-connected components — every cut found exactly once,
+// O(n·m)-flavored overall. The steps shard across
+// AllCutsOptions.Workers: each worker walks a contiguous segment of the
+// adjacency order on its own residual network with the segment's prefix
+// pre-absorbed as its contracted source, and the per-segment chains
+// concatenate in step order, so the output is identical for every
+// worker count. The cactus assembly groups crossing cuts in one
+// size-ascending sweep instead of a pairwise crossing test.
+// AllCutsOptions.NoMaterialize skips the Θ(C·n) materialized cut list;
+// stream the cuts with Cactus.EachMinCut instead (cmd/mincut -all does
+// this by default). EachMinCut walks the cactus with O(n) auxiliary
+// state: duplicate cuts arising from empty cactus nodes are suppressed
+// structurally (equivalence classes of edges through empty two-unit
+// nodes), not by hashing emitted cuts.
 //
 // Beyond enumeration, the cactus answers structural queries:
 // Cactus.Crosses(u, v) reports whether any minimum cut separates u from
@@ -186,15 +179,17 @@
 // Every exact solver is cross-checked against independent
 // implementations and against exhaustive oracles (internal/verify): the
 // property suites assert ParCut == NOI == Stoer–Wagner on random graphs
-// from every generator, the two AllMinCuts strategies are compared
-// cut-for-cut against each other on 1000+ random, cycle, clique-chain
-// and star-of-cycles instances (weighted and unweighted) and against the
-// λ-pruned branch-and-bound all-cuts oracle up to n = 16, the cactus
-// must re-encode exactly the enumerated cut set, and native fuzz targets
-// (FuzzFromEdges, FuzzReadMatrixMarket, FuzzMinCut, FuzzAllMinCuts, and
-// cmd/mincutd's FuzzMutateHTTP) feed arbitrary edge lists, format bytes
-// and mutation request bodies through the public API and the daemon's
-// POST /mutate path, asserting construction, parsing and mutation
+// from every generator, the Karzanov–Timofeev enumeration is compared
+// cut-for-cut against a quadratic per-vertex Picard–Queyranne reference
+// (kept in internal/cactus's tests) on 1000+ random, cycle,
+// clique-chain and star-of-cycles instances (weighted and unweighted)
+// and against the λ-pruned branch-and-bound all-cuts oracle up to
+// n = 16, the cactus must re-encode exactly the enumerated cut set, and
+// native fuzz targets (FuzzFromEdges, FuzzReadMatrixMarket, FuzzMinCut,
+// cmd/mincutd's FuzzMutateHTTP, and internal/cactus's FuzzAllMinCuts)
+// feed arbitrary edge lists, format bytes and mutation request bodies
+// through the public API, the daemon's POST /mutate path and the
+// all-cuts pipeline, asserting construction, parsing and mutation
 // handling never panic, every reported value matches its recomputed
 // witness, and the KT and quadratic enumerations agree on cut-set
 // fingerprints. The real-instance suite

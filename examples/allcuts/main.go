@@ -54,17 +54,14 @@ func main() {
 	fmt.Printf("network: %d routers, %d links in %d zones\n",
 		g.NumVertices(), g.NumEdges(), zones)
 
-	// The default strategy is the Karzanov–Timofeev recursion; the
-	// quadratic per-vertex enumeration remains available as
-	// mincut.StrategyQuadratic for cross-checking.
-	all, err := mincut.AllMinCuts(g, mincut.AllCutsOptions{Seed: seed, Strategy: mincut.StrategyKT})
+	all, err := mincut.AllMinCuts(g, mincut.AllCutsOptions{Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !all.Connected {
 		log.Fatal("network disconnected")
 	}
-	fmt.Printf("edge connectivity λ: %d (enumerated via %v)\n", all.Lambda, all.Strategy)
+	fmt.Printf("edge connectivity λ: %d\n", all.Lambda)
 	fmt.Printf("distinct weakest failure modes: %d (kernel: %d zones)\n",
 		all.NumCuts(), all.KernelVertices)
 	c := all.Cactus

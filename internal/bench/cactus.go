@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -15,26 +14,16 @@ import (
 	"repro/internal/graph"
 )
 
-// CactusMeasurement is one all-minimum-cuts timing: an instance, an
-// enumeration strategy, the worker count, and the resulting cut family
-// statistics with the enumerate/assemble phase split. The collected
-// slice is the BENCH_cactus.json baseline tracking the cactus subsystem
-// across PRs.
-//
-// The instance×strategy matrix is explicit: a combination that is not
-// timed still emits a row with Skipped carrying the reason — a missing
-// row means the run was interrupted, not that the combination was
-// silently dropped. Skip rows marshal only the instance, strategy, and
-// reason (see MarshalJSON): zero-valued lambda/cuts fields on a row
-// that never ran read as a wrong answer, not as an absence.
+// CactusMeasurement is one all-minimum-cuts timing: an instance, the
+// worker count, and the resulting cut family statistics with the
+// enumerate/assemble phase split. The collected slice is the
+// BENCH_cactus.json baseline tracking the cactus subsystem across PRs.
 type CactusMeasurement struct {
 	Instance string `json:"instance"`
 	N        int    `json:"n"`
 	M        int    `json:"m"`
-	Strategy string `json:"strategy"`
-	// Workers is the enumeration worker bound the row ran with (the KT
-	// strategy shards its steps across them; quadratic fans out its
-	// per-target enumerations).
+	// Workers is the worker bound the row ran with (the KT enumeration
+	// shards its steps across them).
 	Workers int     `json:"workers"`
 	Lambda  int64   `json:"lambda"`
 	Cuts    int     `json:"cuts"`
@@ -46,24 +35,6 @@ type CactusMeasurement struct {
 	// remainder.
 	EnumerateMillis float64 `json:"enumerate_ms"`
 	AssembleMillis  float64 `json:"assemble_ms"`
-	// Skipped is the reason this instance×strategy combination was not
-	// timed (empty for measured rows).
-	Skipped string `json:"skipped,omitempty"`
-}
-
-// MarshalJSON keeps skip rows honest: a row that never ran carries only
-// its identity (instance, strategy) and the skip reason, so consumers
-// cannot mistake the zero-valued result fields for measurements.
-func (m CactusMeasurement) MarshalJSON() ([]byte, error) {
-	if m.Skipped != "" {
-		return json.Marshal(struct {
-			Instance string `json:"instance"`
-			Strategy string `json:"strategy"`
-			Skipped  string `json:"skipped"`
-		}{m.Instance, m.Strategy, m.Skipped})
-	}
-	type measured CactusMeasurement // drops the method, not the fields
-	return json.Marshal(measured(m))
 }
 
 // cactusInstance is a named generator so instances are built lazily and
@@ -71,9 +42,6 @@ func (m CactusMeasurement) MarshalJSON() ([]byte, error) {
 type cactusInstance struct {
 	name string
 	g    *graph.Graph
-	// quadSkip, when non-empty, is why the quadratic reference is not
-	// timed on this instance; it is recorded as an explicit skip row.
-	quadSkip string
 }
 
 func cactusInstances(s Scale) []cactusInstance {
@@ -81,39 +49,41 @@ func cactusInstances(s Scale) []cactusInstance {
 	if unit < 64 {
 		unit = 64
 	}
-	quadTooSlow := "quadratic reference runs one max flow per kernel vertex over a Θ(n²)-cut family"
 	rnd := gen.ConnectedGNM(2*unit, 6*unit, s.Seed*101)
 	return []cactusInstance{
 		// Random sparse: few cuts, enumeration dominated by flows.
 		{name: fmt.Sprintf("gnm_%d_%d", 2*unit, 6*unit), g: rnd},
 		// Cycle-heavy: unit rings, Θ(n²) minimum cuts, nothing for the
-		// kernelization to contract — the KT worst case the quadratic
-		// builder chokes on, and the scaling story for the sharded
-		// enumeration and the word-parallel assembly. ring_1024 entered
-		// the matrix once the transposed assembly could afford it.
-		{name: fmt.Sprintf("ring_%d", 8*unit), g: gen.Ring(8 * unit), quadSkip: quadTooSlow},
-		{name: fmt.Sprintf("ring_%d", 4*unit), g: gen.Ring(4 * unit), quadSkip: quadTooSlow},
-		{name: fmt.Sprintf("ring_%d", 2*unit), g: gen.Ring(2 * unit), quadSkip: quadTooSlow},
+		// kernelization to contract — the KT worst case, and the scaling
+		// story for the sharded enumeration and the word-parallel
+		// assembly. ring_1024 entered the matrix once the transposed
+		// assembly could afford it.
+		{name: fmt.Sprintf("ring_%d", 8*unit), g: gen.Ring(8 * unit)},
+		{name: fmt.Sprintf("ring_%d", 4*unit), g: gen.Ring(4 * unit)},
+		{name: fmt.Sprintf("ring_%d", 2*unit), g: gen.Ring(2 * unit)},
 		{name: fmt.Sprintf("ring_%d", unit), g: gen.Ring(unit)},
 		// Kernel-heavy: clique chain, the kernel collapses to a path.
 		{name: fmt.Sprintf("cliquechain_%d_8", unit/8), g: gen.CliqueChain(unit/8, 8)},
 		// Many cycles sharing a node: one small crossing class per cycle.
 		{name: fmt.Sprintf("starofcycles_8_%d", unit/8), g: gen.StarOfCycles(8, unit/8)},
-		{name: fmt.Sprintf("starofcycles_16_%d", unit/2), g: gen.StarOfCycles(16, unit/2), quadSkip: quadTooSlow},
+		{name: fmt.Sprintf("starofcycles_16_%d", unit/2), g: gen.StarOfCycles(16, unit/2)},
 	}
 }
 
-// CactusBench times AllMinCuts per instance, strategy, and worker count
-// and prints the table; the returned measurements feed WriteCactusJSON.
-// Every instance runs the KT strategy at workers ∈ {1, GOMAXPROCS} (one
-// row each, collapsed when they coincide), so the committed baseline
-// shows the parallel speedup next to the single-core trajectory. A
-// non-empty only restricts the run to instances whose name contains it
-// (the CI bench smoke times one small ring).
+// CactusBench times AllMinCuts per instance and worker count and prints
+// the table; the returned measurements feed WriteJSON. Every instance
+// runs at workers ∈ {1, GOMAXPROCS} (one row each, collapsed when they
+// coincide), so the committed baseline shows the parallel speedup next
+// to the single-core trajectory. A non-empty only restricts the run to
+// instances whose name contains it (the CI bench smoke times one small
+// ring).
 func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
-	header(w, "cactus: all minimum cuts (KT vs quadratic)")
-	row(w, "instance", "n", "m", "strategy", "workers", "lambda", "cuts", "kernel", "enum_ms", "asm_ms", "ms")
-	defaultWorkers := runtime.GOMAXPROCS(0)
+	header(w, "cactus: all minimum cuts (KT)")
+	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "enum_ms", "asm_ms", "ms")
+	workerCounts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workerCounts = append(workerCounts, p)
+	}
 	var out []CactusMeasurement
 	for _, inst := range cactusInstances(s) {
 		if only != "" && !strings.Contains(inst.name, only) {
@@ -123,42 +93,16 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 			fmt.Fprintln(w, "(interrupted: partial results above)")
 			break
 		}
-		type config struct {
-			strat   cactus.Strategy
-			workers int
-			skip    string
-		}
-		configs := []config{{strat: cactus.StrategyKT, workers: 1}}
-		if defaultWorkers > 1 {
-			configs = append(configs, config{strat: cactus.StrategyKT, workers: defaultWorkers})
-		}
-		configs = append(configs, config{
-			strat: cactus.StrategyQuadratic, workers: defaultWorkers, skip: inst.quadSkip,
-		})
-		for _, cfg := range configs {
-			m := CactusMeasurement{
-				Instance: inst.name,
-				N:        inst.g.NumVertices(),
-				M:        inst.g.NumEdges(),
-				Strategy: cfg.strat.String(),
-				Workers:  cfg.workers,
-				Skipped:  cfg.skip,
-			}
-			if cfg.skip != "" {
-				out = append(out, m)
-				row(w, m.Instance, m.N, m.M, m.Strategy, m.Workers, "-", "-", "-", "-", "-", "skipped")
-				continue
-			}
+		for _, workers := range workerCounts {
 			best := time.Duration(1<<63 - 1)
 			var res *cactus.Result
 			for rep := 0; rep < s.Reps; rep++ {
 				start := time.Now()
 				r, err := cactus.AllMinCuts(context.Background(), inst.g, cactus.Options{
-					Seed: s.Seed + uint64(rep), Strategy: cfg.strat,
-					Workers: cfg.workers, NoMaterialize: true,
+					Seed: s.Seed + uint64(rep), Workers: workers, NoMaterialize: true,
 				})
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "bench: %s/%v: %v\n", inst.name, cfg.strat, err)
+					fmt.Fprintf(os.Stderr, "bench: %s/workers=%d: %v\n", inst.name, workers, err)
 					res = nil
 					break
 				}
@@ -170,27 +114,22 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 			if res == nil {
 				continue
 			}
-			m.Lambda = res.Lambda
-			m.Cuts = res.Count
-			m.Kernel = res.KernelVertices
-			m.Millis = float64(best.Microseconds()) / 1000
-			m.EnumerateMillis = float64(res.Phases.Enumerate.Microseconds()) / 1000
-			m.AssembleMillis = float64(res.Phases.Assemble.Microseconds()) / 1000
+			m := CactusMeasurement{
+				Instance:        inst.name,
+				N:               inst.g.NumVertices(),
+				M:               inst.g.NumEdges(),
+				Workers:         workers,
+				Lambda:          res.Lambda,
+				Cuts:            res.Count,
+				Kernel:          res.KernelVertices,
+				Millis:          float64(best.Microseconds()) / 1000,
+				EnumerateMillis: float64(res.Phases.Enumerate.Microseconds()) / 1000,
+				AssembleMillis:  float64(res.Phases.Assemble.Microseconds()) / 1000,
+			}
 			out = append(out, m)
-			row(w, m.Instance, m.N, m.M, m.Strategy, m.Workers, m.Lambda, m.Cuts, m.Kernel,
+			row(w, m.Instance, m.N, m.M, m.Workers, m.Lambda, m.Cuts, m.Kernel,
 				m.EnumerateMillis, m.AssembleMillis, m.Millis)
 		}
 	}
 	return out
-}
-
-// WriteCactusJSON writes the measurements as the BENCH_cactus.json
-// baseline format: an indented JSON array, stable across runs up to
-// timing noise.
-func WriteCactusJSON(path string, ms []CactusMeasurement) error {
-	buf, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

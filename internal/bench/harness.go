@@ -12,9 +12,11 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -201,4 +203,15 @@ func row(w io.Writer, cols ...any) {
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// WriteJSON writes the measurements of CactusBench, SolveBench or
+// ServiceBench as a BENCH_*.json baseline: an indented JSON array, stable
+// across runs up to timing noise.
+func WriteJSON(path string, rows any) error {
+	buf, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

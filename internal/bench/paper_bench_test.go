@@ -198,13 +198,13 @@ func BenchmarkSolveDefault(b *testing.B) {
 	}
 }
 
-// BenchmarkAllMinCuts measures the all-minimum-cuts pipeline per
-// enumeration strategy across the three regimes that stress it
-// differently: random sparse (one or few cuts, flow-dominated), the unit
-// ring (Θ(n²) cuts, nothing kernelizes — the KT motivation), the clique
-// chain (kernel-heavy, laminar), and the star of cycles (many cycles
-// sharing a node). cmd/bench -experiment cactus prints the corresponding
-// table and emits the BENCH_cactus.json baseline.
+// BenchmarkAllMinCuts measures the all-minimum-cuts pipeline across the
+// regimes that stress it differently: random sparse (one or few cuts,
+// flow-dominated), the unit ring (Θ(n²) cuts, nothing kernelizes — the
+// KT motivation), the clique chain (kernel-heavy, laminar), and the star
+// of cycles (many cycles sharing a node). cmd/bench -experiment cactus
+// prints the corresponding table and emits the BENCH_cactus.json
+// baseline.
 func BenchmarkAllMinCuts(b *testing.B) {
 	instances := []struct {
 		name string
@@ -216,20 +216,18 @@ func BenchmarkAllMinCuts(b *testing.B) {
 		{"starofcycles_6_10", gen.StarOfCycles(6, 10)},
 	}
 	for _, inst := range instances {
-		for _, strat := range []mincut.CutEnumStrategy{mincut.StrategyKT, mincut.StrategyQuadratic} {
-			b.Run(fmt.Sprintf("%s/%v", inst.name, strat), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					all, err := mincut.AllMinCuts(inst.g, mincut.AllCutsOptions{
-						Seed: uint64(i + 1), Strategy: strat, NoMaterialize: true,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if all.Count == 0 {
-						b.Fatal("no cuts found")
-					}
+		b.Run(inst.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				all, err := mincut.AllMinCuts(inst.g, mincut.AllCutsOptions{
+					Seed: uint64(i + 1), NoMaterialize: true,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if all.Count == 0 {
+					b.Fatal("no cuts found")
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -69,8 +68,7 @@ func serviceInstances(s Scale) []Instance {
 
 // ServiceBench measures the Snapshot serving layer: cold vs cached query
 // throughput, Apply latency, and the certificate cache hit rate under a
-// delete/re-insert mutation stream. Returns the rows for
-// WriteServiceJSON.
+// delete/re-insert mutation stream. Returns the rows for WriteJSON.
 func ServiceBench(w io.Writer, s Scale) []ServiceMeasurement {
 	header(w, "service: snapshot cache and mutation layer (cmd/mincutd serving path)")
 	row(w, "instance", "n", "m", "lambda", "cold-qps", "coal-qps", "cached-qps", "apply-us", "hit-rate")
@@ -205,14 +203,4 @@ func sampleEdges(g *graph.Graph, k int) []graph.Edge {
 		i++
 	})
 	return out
-}
-
-// WriteServiceJSON writes the measurements as the BENCH_service.json
-// baseline, same convention as BENCH_cactus.json.
-func WriteServiceJSON(path string, ms []ServiceMeasurement) error {
-	buf, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -45,7 +44,7 @@ func solveAlgos() []Algo {
 
 // SolveBench loads every corpus instance (skipping absent external ones),
 // times each solver on it, prints the table, and returns the measurements
-// for WriteSolveJSON. Solvers disagreeing on a cut value is a correctness
+// for WriteJSON. Solvers disagreeing on a cut value is a correctness
 // bug, not timing noise, so it panics loudly.
 func SolveBench(w io.Writer, s Scale) []SolveMeasurement {
 	header(w, "solve: real-instance corpus (internal/datasets)")
@@ -93,14 +92,4 @@ func SolveBench(w io.Writer, s Scale) []SolveMeasurement {
 		}
 	}
 	return out
-}
-
-// WriteSolveJSON writes the measurements as the BENCH_solve.json baseline:
-// an indented JSON array, same convention as BENCH_cactus.json.
-func WriteSolveJSON(path string, ms []SolveMeasurement) error {
-	buf, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

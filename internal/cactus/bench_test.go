@@ -85,7 +85,7 @@ func BenchmarkKTEnumerate(b *testing.B) {
 		})
 		b.Run(tc.name+"/quadratic", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := enumerateQuadratic(context.Background(), tc.g, 0, lambda, 1, DefaultMaxCuts); err != nil {
+				if _, err := enumerateQuadratic(context.Background(), tc.g, 0, lambda, DefaultMaxCuts, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

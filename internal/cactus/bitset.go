@@ -222,4 +222,3 @@ func parallelBlocks(workers, n int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-

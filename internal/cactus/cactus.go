@@ -9,19 +9,17 @@
 //  2. an all-cuts-preserving kernelization (core.KernelizeAllCuts):
 //     CAPFOREST with fixed threshold λ+1 certifies pairs no minimum cut
 //     separates, which the §3.2 parallel contraction merges;
-//  3. enumeration on the kernel, selected by Options.Strategy:
-//     StrategyKT (default) is the Karzanov–Timofeev recursion — kernel
-//     vertices in an adjacency order, a residual network
+//  3. enumeration on the kernel with the Karzanov–Timofeev recursion —
+//     kernel vertices in an adjacency order, a residual network
 //     (flow.Progressive) augmented per step with a λ cap, per-step cuts
 //     read off as nested chains, each global minimum cut found exactly
 //     once (at most n(n-1)/2 of them, by Dinitz–Karzanov–Lomonosov);
 //     the steps shard across Options.Workers, one Progressive per
 //     worker segment with the segment's prefix pre-absorbed, and the
 //     per-segment chains concatenate in step order so the cut list is
-//     identical for every worker count; StrategyQuadratic is the
-//     reference kept for differential testing — one Picard–Queyranne
-//     enumeration (flow.STEnum) per kernel vertex fanned out over
-//     workers, deduplicated in a shared set;
+//     identical for every worker count (the tests check it against a
+//     quadratic reference: one Picard–Queyranne enumeration, flow.STEnum,
+//     per kernel vertex, deduplicated in a shared set);
 //  4. cactus construction, word- and worker-parallel: the C×n cut-side
 //     matrix is transposed as cache-blocked 64×64 bit blocks
 //     (transposeBits, sharded across Options.Workers) so per-vertex

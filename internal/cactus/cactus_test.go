@@ -263,15 +263,15 @@ func TestTwoCyclesSharingVertex(t *testing.T) {
 	b.AddEdge(6, 7, 1)
 	b.AddEdge(7, 0, 1)
 	g := b.MustBuild()
-	for _, strat := range []Strategy{StrategyKT, StrategyQuadratic} {
-		res := mustAll(t, g, Options{Strategy: strat})
+	for _, e := range enumerators {
+		res := mustAllWith(t, g, Options{}, e.enumerate)
 		checkResult(t, g, res)
 		if res.Lambda != 2 || res.Count != 16 {
-			t.Fatalf("%v: λ=%d cuts=%d, want 2 and 16", strat, res.Lambda, res.Count)
+			t.Fatalf("%s: λ=%d cuts=%d, want 2 and 16", e.name, res.Lambda, res.Count)
 		}
 		c := res.Cactus
 		if c.NumCycles != 2 || c.NumNodes != 8 || c.NumTreeEdges() != 0 {
-			t.Fatalf("%v cactus %v, want two cycles over 8 nodes", strat, c)
+			t.Fatalf("%s cactus %v, want two cycles over 8 nodes", e.name, c)
 		}
 	}
 }
@@ -282,7 +282,7 @@ func TestPathOfBridges(t *testing.T) {
 	// oracle ceiling, so checked structurally and differentially.
 	const n = 48
 	g := gen.Path(n)
-	res := checkStrategiesAgree(t, g, 1)
+	res := checkKTvsQuadratic(t, g, 1)
 	if res.Lambda != 1 || res.Count != n-1 {
 		t.Fatalf("P_%d: λ=%d cuts=%d, want 1 and %d", n, res.Lambda, res.Count, n-1)
 	}
@@ -318,15 +318,15 @@ func TestCactusOfCactiFixture(t *testing.T) {
 	b.AddEdge(8, 9, 1)
 	b.AddEdge(9, 7, 1)
 	g := b.MustBuild()
-	for _, strat := range []Strategy{StrategyKT, StrategyQuadratic} {
-		res := mustAll(t, g, Options{Strategy: strat})
+	for _, e := range enumerators {
+		res := mustAllWith(t, g, Options{}, e.enumerate)
 		checkResult(t, g, res)
 		if res.Lambda != 2 || res.Count != 14 {
-			t.Fatalf("%v: λ=%d cuts=%d, want 2 and 14", strat, res.Lambda, res.Count)
+			t.Fatalf("%s: λ=%d cuts=%d, want 2 and 14", e.name, res.Lambda, res.Count)
 		}
 		c := res.Cactus
 		if c.NumCycles != 1 || c.NumTreeEdges() != 8 {
-			t.Fatalf("%v cactus %v, want 1 cycle and 8 tree edges", strat, c)
+			t.Fatalf("%s cactus %v, want 1 cycle and 8 tree edges", e.name, c)
 		}
 	}
 }
@@ -401,7 +401,7 @@ func TestOptionsVariants(t *testing.T) {
 	base := mustAll(t, g, Options{})
 	checkResult(t, g, base)
 	for _, opts := range []Options{
-		{Sequential: true},
+		{Workers: 1},
 		{DisableKernel: true},
 		{Lambda: base.Lambda},
 		{Workers: 2, Seed: 99},

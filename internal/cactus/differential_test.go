@@ -10,23 +10,25 @@ import (
 // This file is the differential harness of the all-minimum-cuts
 // subsystem. Three independent implementations are compared:
 //
-//   - the Karzanov–Timofeev enumeration (StrategyKT, the default);
-//   - the per-vertex Picard–Queyranne enumeration (StrategyQuadratic,
-//     the reference);
+//   - the Karzanov–Timofeev enumeration (ktEnumerate, what AllMinCuts
+//     runs);
+//   - the per-vertex Picard–Queyranne enumeration (enumerateQuadratic,
+//     the reference in quadratic_test.go);
 //   - the branch-and-bound oracle (verify.AllMinimumCuts, n ≤ 16 here).
 //
 // TestDifferentialKTvsQuadratic alone sweeps well over 1000 instances —
 // random unit and weighted graphs, cycles with chords, clique chains and
 // stars of cycles — and the remaining tests add structured and ablation
-// coverage on the default strategy.
+// coverage on the KT pipeline.
 
-// checkStrategiesAgree runs both enumeration strategies and fails unless
-// they agree cut-for-cut; both cactuses must validate and re-encode the
-// same number of cuts. Returns the KT result for further checks.
-func checkStrategiesAgree(t *testing.T, g *graph.Graph, seed uint64) *Result {
+// checkKTvsQuadratic runs the pipeline with both enumerators and fails
+// unless they agree cut-for-cut; both cactuses must validate and
+// re-encode the same number of cuts. Returns the KT result for further
+// checks.
+func checkKTvsQuadratic(t *testing.T, g *graph.Graph, seed uint64) *Result {
 	t.Helper()
-	kt := mustAll(t, g, Options{Seed: seed, Strategy: StrategyKT})
-	quad := mustAll(t, g, Options{Seed: seed, Strategy: StrategyQuadratic})
+	kt := mustAll(t, g, Options{Seed: seed})
+	quad := mustAllWith(t, g, Options{Seed: seed}, enumerateQuadratic)
 	if kt.Lambda != quad.Lambda {
 		t.Fatalf("λ: KT %d, quadratic %d", kt.Lambda, quad.Lambda)
 	}
@@ -58,7 +60,7 @@ func checkStrategiesAgree(t *testing.T, g *graph.Graph, seed uint64) *Result {
 
 // TestDifferentialKTvsQuadratic is the scaled-up sweep: 1000+ instances
 // across every family the cactus machinery is sensitive to, each run
-// through both strategies; instances small enough for the oracle are
+// through both enumerators; instances small enough for the oracle are
 // additionally checked cut-for-cut against it.
 func TestDifferentialKTvsQuadratic(t *testing.T) {
 	seeds := uint64(90)
@@ -68,7 +70,7 @@ func TestDifferentialKTvsQuadratic(t *testing.T) {
 	count := 0
 	run := func(g *graph.Graph, seed uint64) {
 		t.Helper()
-		res := checkStrategiesAgree(t, g, seed)
+		res := checkKTvsQuadratic(t, g, seed)
 		if g.NumVertices() <= 16 {
 			checkResult(t, g, res)
 		}
@@ -146,15 +148,15 @@ func TestDifferentialKTvsQuadratic(t *testing.T) {
 			if g.NumVertices() <= 16 {
 				run(g, uint64(arms*10+armLen))
 			} else {
-				checkStrategiesAgree(t, g, uint64(arms*10+armLen))
+				checkKTvsQuadratic(t, g, uint64(arms*10+armLen))
 				count++
 			}
 		}
 	}
-	// Larger strategy-vs-strategy-only instances beyond the oracle.
+	// Larger KT-vs-quadratic-only instances beyond the oracle.
 	for seed := uint64(1); seed <= seeds/2; seed++ {
 		run(gen.ConnectedGNM(24+int(seed%10), 50+int(seed%20), seed*59), seed)
-		checkStrategiesAgree(t, gen.StarOfCycles(3, 6), seed)
+		checkKTvsQuadratic(t, gen.StarOfCycles(3, 6), seed)
 		count++
 	}
 
@@ -165,8 +167,8 @@ func TestDifferentialKTvsQuadratic(t *testing.T) {
 		map[bool]string{true: "", false: " vs oracle where n ≤ 16"}[testing.Short()])
 }
 
-// TestDifferentialRandomUnit cross-checks the default strategy against
-// the exhaustive oracle on random connected unit-weight graphs.
+// TestDifferentialRandomUnit cross-checks the KT pipeline against the
+// exhaustive oracle on random connected unit-weight graphs.
 func TestDifferentialRandomUnit(t *testing.T) {
 	count := 0
 	for seed := uint64(1); seed <= 60; seed++ {
@@ -253,22 +255,22 @@ func TestDifferentialStructured(t *testing.T) {
 
 // TestDifferentialKernelAblation checks that the kernelized and
 // non-kernelized paths agree cut-for-cut on graphs where the kernel
-// actually contracts something, for both strategies.
+// actually contracts something, for both enumerators.
 func TestDifferentialKernelAblation(t *testing.T) {
-	for _, strat := range []Strategy{StrategyKT, StrategyQuadratic} {
+	for _, e := range enumerators {
 		for seed := uint64(1); seed <= 25; seed++ {
 			n := 6 + int(seed%6)
 			g := gen.ConnectedGNM(n, 2*n, seed*59)
-			a := mustAll(t, g, Options{Seed: seed, Strategy: strat})
-			b := mustAll(t, g, Options{Seed: seed, Strategy: strat, DisableKernel: true})
+			a := mustAllWith(t, g, Options{Seed: seed}, e.enumerate)
+			b := mustAllWith(t, g, Options{Seed: seed, DisableKernel: true}, e.enumerate)
 			if a.Lambda != b.Lambda || a.NumCuts() != b.NumCuts() {
-				t.Fatalf("%v seed %d: kernel λ=%d #%d vs direct λ=%d #%d",
-					strat, seed, a.Lambda, a.NumCuts(), b.Lambda, b.NumCuts())
+				t.Fatalf("%s seed %d: kernel λ=%d #%d vs direct λ=%d #%d",
+					e.name, seed, a.Lambda, a.NumCuts(), b.Lambda, b.NumCuts())
 			}
 			for i := range a.Cuts {
 				for v := range a.Cuts[i] {
 					if a.Cuts[i][v] != b.Cuts[i][v] {
-						t.Fatalf("%v seed %d: cut %d differs between kernel and direct paths", strat, seed, i)
+						t.Fatalf("%s seed %d: cut %d differs between kernel and direct paths", e.name, seed, i)
 					}
 				}
 			}

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/pq"
 )
@@ -25,50 +23,13 @@ const DefaultMaxCuts = 1 << 20
 // signals an internal inconsistency.
 var ErrTooManyCuts = errors.New("too many minimum cuts")
 
-// Strategy selects how the kernel's minimum cuts are enumerated.
-type Strategy int
-
-const (
-	// StrategyAuto picks the default strategy (currently StrategyKT).
-	StrategyAuto Strategy = iota
-	// StrategyKT is the Karzanov–Timofeev recursion: λ-capped
-	// augmentation per kernel vertex against a shared residual network,
-	// per-step chains, no deduplication. O(n·m)-flavored; the default.
-	// The steps shard across Options.Workers, each worker walking a
-	// contiguous segment of the adjacency order on its own residual
-	// network with the segment's prefix pre-absorbed; the cut list is
-	// identical for every worker count.
-	StrategyKT
-	// StrategyQuadratic is the reference implementation kept for
-	// differential testing: one full Picard–Queyranne enumeration (and one
-	// from-scratch max flow) per kernel vertex, fanned out over workers,
-	// deduplicated through a shared hash set. Each cut is rediscovered
-	// once per far-side vertex, hence the name.
-	StrategyQuadratic
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "Auto"
-	case StrategyKT:
-		return "KT"
-	case StrategyQuadratic:
-		return "Quadratic"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Options configures AllMinCuts.
 type Options struct {
 	// Workers bounds the parallelism of the kernelization and of the cut
-	// enumeration (≤ 0 means GOMAXPROCS): the KT strategy shards the
+	// enumeration (≤ 0 means GOMAXPROCS): the KT enumeration shards the
 	// adjacency-order steps into contiguous segments, one
-	// flow.Progressive per worker, and StrategyQuadratic fans its
-	// per-target enumerations out over workers. Results are identical
-	// for every worker count.
+	// flow.Progressive per worker. Results are identical for every
+	// worker count.
 	Workers int
 	// Seed drives the randomized choices of the λ solver and CAPFOREST.
 	Seed uint64
@@ -80,14 +41,9 @@ type Options struct {
 	// MaxCuts caps the number of cuts (≤ 0 means DefaultMaxCuts).
 	// Exceeding it aborts with an error.
 	MaxCuts int
-	// Strategy selects the enumeration algorithm (StrategyAuto = KT).
-	Strategy Strategy
 	// DisableKernel skips the all-cuts-preserving kernelization (ablation;
 	// the enumeration then runs on the full graph).
 	DisableKernel bool
-	// Sequential forces the enumeration of either strategy onto one
-	// goroutine (equivalent to Workers: 1).
-	Sequential bool
 	// NoMaterialize skips building Result.Cuts, the per-cut boolean sides
 	// over original vertices — Θ(C·n) bytes for C cuts. The cactus is
 	// still built; stream the cuts from it with Cactus.EachMinCut.
@@ -103,7 +59,7 @@ type PhaseTimings struct {
 	Lambda time.Duration
 	// Kernelize is the all-cuts-preserving contraction.
 	Kernelize time.Duration
-	// Enumerate is the cut enumeration (sharded KT or quadratic).
+	// Enumerate is the sharded KT cut enumeration.
 	Enumerate time.Duration
 	// Assemble covers everything after enumeration: the canonical sort,
 	// cactus construction, the lift to original vertices, and cut
@@ -137,8 +93,6 @@ type Result struct {
 	// KernelVertices is the vertex count of the contracted kernel the
 	// enumeration ran on (equal to n when kernelization is disabled).
 	KernelVertices int
-	// Strategy is the enumeration strategy that ran (never StrategyAuto).
-	Strategy Strategy
 	// Phases is the wall-clock breakdown by pipeline phase.
 	Phases PhaseTimings
 }
@@ -150,16 +104,25 @@ func (r *Result) NumCuts() int { return r.Count }
 // AllMinCuts computes every global minimum cut of g and the cactus
 // representation. See the package comment for the pipeline. Cancellation
 // is checked at every phase boundary — λ solver rounds, kernelization
-// rounds, each KT step (respectively each quadratic target), and cactus
-// assembly — and reported as ctx.Err() wrapped in the returned error.
+// rounds, each KT step, and cactus assembly — and reported as ctx.Err()
+// wrapped in the returned error.
 func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+	return allMinCuts(ctx, g, opts, ktEnumerate)
+}
+
+// enumerator lists every minimum cut of the kernel kg as canonical
+// bitsets (the side not containing k0), failing with ErrTooManyCuts past
+// maxCuts. ktEnumerate is the only one outside tests.
+type enumerator func(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, maxCuts, workers int) ([]bitset, error)
+
+// allMinCuts is AllMinCuts with the kernel enumeration as a parameter:
+// the seam through which tests run kernelization and assembly on the
+// quadratic reference enumeration.
+func allMinCuts(ctx context.Context, g *graph.Graph, opts Options, enumerate enumerator) (*Result, error) {
 	n := g.NumVertices()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Sequential {
-		workers = 1
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -169,12 +132,8 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	if maxCuts <= 0 {
 		maxCuts = DefaultMaxCuts
 	}
-	strategy := opts.Strategy
-	if strategy == StrategyAuto {
-		strategy = StrategyKT
-	}
 
-	res := &Result{Connected: true, Components: 1, Strategy: strategy}
+	res := &Result{Connected: true, Components: 1}
 	if n < 2 {
 		res.Components = n
 		res.Cactus = &Cactus{NumNodes: 1, VertexNode: make([]int32, n)}
@@ -223,19 +182,8 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 
 	// Enumerate the kernel's minimum cuts as canonical bitsets (the side
 	// not containing k0).
-	var (
-		kcuts []bitset
-		err   error
-	)
 	start := time.Now()
-	switch strategy {
-	case StrategyKT:
-		kcuts, err = ktEnumerate(ctx, kg, k0, lambda, maxCuts, workers)
-	case StrategyQuadratic:
-		kcuts, err = enumerateQuadratic(ctx, kg, k0, lambda, workers, maxCuts)
-	default:
-		return nil, fmt.Errorf("cactus: unknown strategy %d", int(strategy))
-	}
+	kcuts, err := enumerate(ctx, kg, k0, lambda, maxCuts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -243,8 +191,8 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	res.Count = len(kcuts)
 
 	// Canonical kernel order (side size, then lexicographic) so the
-	// cactus is deterministic and identical across strategies and
-	// materialization settings. The size key is a counting sort (sizes
+	// cactus is deterministic and identical for every enumerator and
+	// materialization setting. The size key is a counting sort (sizes
 	// are bounded by nk); only the per-size buckets need comparison
 	// sorting, which keeps every comparison single-key and lets the
 	// buckets sort across the workers.
@@ -315,90 +263,9 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	return res, nil
 }
 
-// enumerateQuadratic is the reference enumeration kept for differential
-// testing against the KT recursion: every minimum cut separates k0 from
-// some kernel vertex v and is then a minimum k0-v cut of value λ, so one
-// Picard–Queyranne enumeration per target, fanned out over workers, finds
-// them all; each cut is found once per far-side vertex and deduplicated
-// in a shared canonical-mask set. Cost is one from-scratch max flow per
-// kernel vertex plus O(Σ|side|) = O(C·n) rediscoveries.
-func enumerateQuadratic(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, workers, maxCuts int) ([]bitset, error) {
-	nk := kg.NumVertices()
-	var (
-		mu       sync.Mutex
-		cutSet   = map[string]bitset{}
-		overflow bool
-	)
-	collect := func(sSide []bool) bool {
-		// Canonical kernel side: the non-k0 side.
-		mask := newBitset(nk)
-		for v, in := range sSide {
-			if !in {
-				mask.set(v)
-			}
-		}
-		key := mask.key()
-		mu.Lock()
-		defer mu.Unlock()
-		if _, ok := cutSet[key]; !ok {
-			if len(cutSet) >= maxCuts {
-				overflow = true
-				return false
-			}
-			cutSet[key] = mask
-		}
-		return !overflow
-	}
-
-	targets := make(chan int32, nk)
-	for v := int32(0); v < int32(nk); v++ {
-		if v != k0 {
-			targets <- v
-		}
-	}
-	close(targets)
-	if workers > nk-1 {
-		workers = nk - 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range targets {
-				if ctx.Err() != nil {
-					return // cancellation checked per target (phase boundary)
-				}
-				mu.Lock()
-				done := overflow
-				mu.Unlock()
-				if done {
-					return
-				}
-				e := flow.NewSTEnum(kg, k0, v)
-				if e.Value() == lambda {
-					e.Enumerate(collect)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cactus: quadratic enumeration interrupted: %w", err)
-	}
-	if overflow {
-		return nil, fmt.Errorf("cactus: more than %d minimum cuts; raise Options.MaxCuts: %w", maxCuts, ErrTooManyCuts)
-	}
-	kcuts := make([]bitset, 0, len(cutSet))
-	for _, m := range cutSet {
-		kcuts = append(kcuts, m)
-	}
-	return kcuts, nil
-}
-
 // materialize expands kernel cut bitsets to boolean sides over original
 // vertices, sorted deterministically (by side size, then
-// lexicographically) — canonical regardless of strategy and of how far
+// lexicographically) — canonical regardless of enumerator and of how far
 // the kernelization contracted.
 func materialize(kcuts []bitset, labels []int32, n int) [][]bool {
 	cuts := make([][]bool, len(kcuts))

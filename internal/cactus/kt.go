@@ -28,8 +28,9 @@ import (
 // Every global minimum cut is collected exactly once: a cut whose far
 // side's earliest-ordered vertex is v_i appears in step i and in no
 // other, so no deduplication is needed — the per-vertex Picard–Queyranne
-// enumeration it replaces (enumerateQuadratic) discovers each cut once
-// per far-side vertex and dedups through a mutex-guarded hash set.
+// reference the tests compare against (enumerateQuadratic) discovers
+// each cut once per far-side vertex and dedups through a mutex-guarded
+// hash set.
 //
 // The steps shard across workers with SEGMENT-LEVEL WORK STEALING: each
 // step's cut chain depends only on the graph and the (prefix, v_i) pair

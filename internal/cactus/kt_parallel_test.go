@@ -55,8 +55,8 @@ func TestKTParallelMatchesSequential(t *testing.T) {
 	count := 0
 	run := func(label string, g *graph.Graph, seed uint64) {
 		t.Helper()
-		seq := mustAll(t, g, Options{Seed: seed, Strategy: StrategyKT, Workers: 1})
-		par := mustAll(t, g, Options{Seed: seed, Strategy: StrategyKT, Workers: 4})
+		seq := mustAll(t, g, Options{Seed: seed, Workers: 1})
+		par := mustAll(t, g, Options{Seed: seed, Workers: 4})
 		sameResult(t, label, seq, par)
 		if err := par.Cactus.Validate(g); err != nil {
 			t.Fatalf("%s: parallel cactus invalid: %v", label, err)
@@ -113,9 +113,9 @@ func TestKTDeterministicAcrossWorkerCounts(t *testing.T) {
 		{"gnm_96_240", gen.ConnectedGNM(96, 240, 11)},
 	}
 	for _, tc := range cases {
-		ref := mustAll(t, tc.g, Options{Strategy: StrategyKT, Workers: 1})
+		ref := mustAll(t, tc.g, Options{Workers: 1})
 		for _, w := range []int{2, 3, 8, 1 << 10} {
-			got := mustAll(t, tc.g, Options{Strategy: StrategyKT, Workers: w})
+			got := mustAll(t, tc.g, Options{Workers: w})
 			sameResult(t, tc.name, ref, got)
 		}
 	}

@@ -19,7 +19,7 @@ func TestKTUnitCycleScales(t *testing.T) {
 	for _, n := range []int{32, 64} {
 		g := gen.Ring(n)
 		start := time.Now()
-		res := mustAll(t, g, Options{Strategy: StrategyKT})
+		res := mustAll(t, g, Options{})
 		elapsed := time.Since(start)
 		want := n * (n - 1) / 2
 		if res.Lambda != 2 || res.Count != want {
@@ -43,12 +43,12 @@ func TestKTUnitCycleScales(t *testing.T) {
 
 	// The quadratic reference under a size cap must refuse rather than
 	// churn through the Θ(n²) cut family.
-	_, err := AllMinCuts(context.Background(), gen.Ring(64), Options{Strategy: StrategyQuadratic, MaxCuts: 500})
+	_, err := allMinCuts(context.Background(), gen.Ring(64), Options{MaxCuts: 500}, enumerateQuadratic)
 	if !errors.Is(err, ErrTooManyCuts) {
 		t.Fatalf("capped quadratic build on C_64: got %v, want ErrTooManyCuts", err)
 	}
-	// The cap is strategy-independent: KT under the same cap also refuses.
-	_, err = AllMinCuts(context.Background(), gen.Ring(64), Options{Strategy: StrategyKT, MaxCuts: 500})
+	// The cap is enumerator-independent: KT under the same cap also refuses.
+	_, err = AllMinCuts(context.Background(), gen.Ring(64), Options{MaxCuts: 500})
 	if !errors.Is(err, ErrTooManyCuts) {
 		t.Fatalf("capped KT build on C_64: got %v, want ErrTooManyCuts", err)
 	}
@@ -79,29 +79,17 @@ func TestKTNoMaterialize(t *testing.T) {
 	}
 }
 
-// TestKTStrategyReported pins the Result.Strategy contract: Auto resolves
-// to KT, explicit choices are echoed back.
-func TestKTStrategyReported(t *testing.T) {
-	g := gen.Ring(6)
-	if res := mustAll(t, g, Options{}); res.Strategy != StrategyKT {
-		t.Fatalf("auto resolved to %v, want KT", res.Strategy)
-	}
-	if res := mustAll(t, g, Options{Strategy: StrategyQuadratic}); res.Strategy != StrategyQuadratic {
-		t.Fatalf("explicit quadratic reported %v", res.Strategy)
-	}
-}
-
 // TestKTSuppliedLambda exercises the trusted-λ path of the KT recursion
 // (the λ solve is skipped; every step must still find value exactly λ).
 func TestKTSuppliedLambda(t *testing.T) {
 	g := gen.Ring(12)
-	res := mustAll(t, g, Options{Strategy: StrategyKT, Lambda: 2})
+	res := mustAll(t, g, Options{Lambda: 2})
 	if res.Count != 66 {
 		t.Fatalf("C_12 with supplied λ: %d cuts, want 66", res.Count)
 	}
 	// A too-large λ is not a minimum-cut family; the KT step detects the
 	// inconsistency instead of returning garbage.
-	if _, err := AllMinCuts(context.Background(), g, Options{Strategy: StrategyKT, Lambda: 3}); err == nil {
+	if _, err := AllMinCuts(context.Background(), g, Options{Lambda: 3}); err == nil {
 		t.Fatal("λ=3 on C_12 must fail, got nil error")
 	}
 }

@@ -1,12 +1,77 @@
 package flow
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/verify"
 )
+
+// maxFlowEK computes the s-t maximum flow of the undirected graph g with
+// the Edmonds–Karp algorithm (BFS shortest augmenting paths). It returns
+// the flow value and the s-side of a minimum s-t cut. O(V·E²); the
+// independent oracle the Dinic engine is checked against.
+func maxFlowEK(g *graph.Graph, s, t int32) (int64, []bool) {
+	nw := newNetwork(g)
+	parentArc := make([]int32, nw.n)
+	var total int64
+	for {
+		// BFS in the residual graph.
+		for i := range parentArc {
+			parentArc[i] = -1
+		}
+		parentArc[s] = -2
+		queue := []int32{s}
+		found := false
+	bfs:
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, a := range nw.arcs(v) {
+				w := nw.head[a]
+				if parentArc[w] == -1 && nw.res[a] > 0 {
+					parentArc[w] = a
+					if w == t {
+						found = true
+						break bfs
+					}
+					queue = append(queue, w)
+				}
+			}
+		}
+		if !found {
+			break
+		}
+		// Bottleneck along the path.
+		bottleneck := int64(math.MaxInt64)
+		for v := t; v != s; {
+			a := parentArc[v]
+			if nw.res[a] < bottleneck {
+				bottleneck = nw.res[a]
+			}
+			v = nw.head[a^1]
+		}
+		for v := t; v != s; {
+			a := parentArc[v]
+			nw.push(a, bottleneck)
+			v = nw.head[a^1]
+		}
+		total += bottleneck
+	}
+	return total, nw.reachableFrom(s)
+}
+
+// minSTCut is MinSTCut for terminals a test knows to be valid.
+func minSTCut(g *graph.Graph, s, t int32) (int64, []bool) {
+	v, side, err := MinSTCut(context.Background(), g, s, t)
+	if err != nil {
+		panic(err)
+	}
+	return v, side
+}
 
 func pathGraph(ws ...int64) *graph.Graph {
 	b := graph.NewBuilder(len(ws) + 1)
@@ -21,7 +86,7 @@ func TestMaxFlowPath(t *testing.T) {
 	for _, fn := range []struct {
 		name string
 		f    func(*graph.Graph, int32, int32) (int64, []bool)
-	}{{"EK", MaxFlowEK}, {"PR", MaxFlowPR}} {
+	}{{"EK", maxFlowEK}, {"Dinic", minSTCut}} {
 		t.Run(fn.name, func(t *testing.T) {
 			v, side := fn.f(g, 0, 3)
 			if v != 2 {
@@ -41,19 +106,19 @@ func TestMaxFlowAgainstBruteForce(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		g := gen.GNMWeighted(9, 18, 7, seed)
 		want, _ := verify.BruteForceSTMinCut(g, 0, 8)
-		ek, ekSide := MaxFlowEK(g, 0, 8)
-		pr, prSide := MaxFlowPR(g, 0, 8)
+		ek, ekSide := maxFlowEK(g, 0, 8)
+		dv, dSide := minSTCut(g, 0, 8)
 		if ek != want {
 			t.Fatalf("seed %d: EK = %d, want %d", seed, ek, want)
 		}
-		if pr != want {
-			t.Fatalf("seed %d: PR = %d, want %d", seed, pr, want)
+		if dv != want {
+			t.Fatalf("seed %d: Dinic = %d, want %d", seed, dv, want)
 		}
 		if got := verify.CutValue(g, ekSide); got != want {
 			t.Fatalf("seed %d: EK witness = %d, want %d", seed, got, want)
 		}
-		if got := verify.CutValue(g, prSide); got != want {
-			t.Fatalf("seed %d: PR witness = %d, want %d", seed, got, want)
+		if got := verify.CutValue(g, dSide); got != want {
+			t.Fatalf("seed %d: Dinic witness = %d, want %d", seed, got, want)
 		}
 	}
 }
@@ -63,30 +128,20 @@ func TestMaxFlowDisconnectedPair(t *testing.T) {
 	b.AddEdge(0, 1, 3)
 	b.AddEdge(2, 3, 4)
 	g := b.MustBuild()
-	if v, _ := MaxFlowEK(g, 0, 3); v != 0 {
+	if v, _ := maxFlowEK(g, 0, 3); v != 0 {
 		t.Errorf("EK across components = %d, want 0", v)
 	}
-	if v, _ := MaxFlowPR(g, 0, 3); v != 0 {
-		t.Errorf("PR across components = %d, want 0", v)
+	if v, _ := minSTCut(g, 0, 3); v != 0 {
+		t.Errorf("Dinic across components = %d, want 0", v)
 	}
 }
 
-func TestMaxFlowPanics(t *testing.T) {
+func TestMinSTCutRejectsBadTerminals(t *testing.T) {
 	g := gen.Ring(4)
-	for _, fn := range []func(){
-		func() { MaxFlowEK(g, 0, 0) },
-		func() { MaxFlowPR(g, 2, 2) },
-		func() { MaxFlowEK(g, -1, 2) },
-		func() { MaxFlowPR(g, 0, 9) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
+	for _, st := range [][2]int32{{0, 0}, {2, 2}, {-1, 2}, {0, 9}, {4, 0}} {
+		if v, side, err := MinSTCut(context.Background(), g, st[0], st[1]); err == nil {
+			t.Errorf("MinSTCut(%d, %d) = %d, %v; want an error", st[0], st[1], v, side)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/graph"
@@ -23,7 +24,7 @@ type FlowTree struct {
 }
 
 // GusfieldTree builds a flow-equivalent tree with n-1 max-flow
-// computations (push-relabel). Disconnected graphs are handled naturally:
+// computations (MinSTCut). Disconnected graphs are handled naturally:
 // cross-component pairs get tree weight 0.
 func GusfieldTree(g *graph.Graph) *FlowTree {
 	n := g.NumVertices()
@@ -37,7 +38,9 @@ func GusfieldTree(g *graph.Graph) *FlowTree {
 	}
 	for s := int32(1); s < int32(n); s++ {
 		tt := t.parent[s]
-		f, side := MaxFlowPR(g, s, tt) // side contains s
+		// s ≠ tt are vertices of g and the context is never cancelled, so
+		// MinSTCut cannot fail.
+		f, side, _ := MinSTCut(context.Background(), g, s, tt) // side contains s
 		t.weight[s] = f
 		// Every vertex hanging off tt that fell on s's side moves under s.
 		for j := int32(0); j < int32(n); j++ {
@@ -106,7 +109,7 @@ func (t *FlowTree) GlobalMinCut(g *graph.Graph) (int64, []bool) {
 			best = v
 		}
 	}
-	val, side := MaxFlowPR(g, best, t.parent[best])
+	val, side, _ := MinSTCut(context.Background(), g, best, t.parent[best]) // cannot fail, as in GusfieldTree
 	if val != t.weight[best] {
 		panic("flow: tree weight disagrees with recomputed max-flow")
 	}

@@ -140,7 +140,10 @@ func HaoOrlin(g *graph.Graph) (int64, []bool) {
 		// rest. Record it if it improves the best cut so far. ---
 		if excess[t] < best {
 			best = excess[t]
-			bestSide = invert(nw.reachableTo(t))
+			bestSide = nw.reachableTo(t)
+			for v := range bestSide {
+				bestSide[v] = !bestSide[v]
+			}
 		}
 
 		// --- Move t into the source set and select a new sink. ---

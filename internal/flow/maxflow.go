@@ -1,173 +1,124 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/graph"
 )
 
-// MaxFlowEK computes the s-t maximum flow of the undirected graph g with
-// the Edmonds–Karp algorithm (BFS shortest augmenting paths). It returns
-// the flow value and the s-side of a minimum s-t cut. O(V·E²); intended
-// as a verification oracle.
-func MaxFlowEK(g *graph.Graph, s, t int32) (int64, []bool) {
-	checkST(g, s, t)
+// MinSTCut computes a minimum s-t cut of g with Dinic's algorithm and
+// returns its value and the s-side witness. It returns an error when s
+// or t is not a vertex of g or when s == t. ctx is checked at every BFS
+// phase boundary; cancellation returns ctx.Err().
+func MinSTCut(ctx context.Context, g *graph.Graph, s, t int32) (int64, []bool, error) {
+	nw, v, err := maxFlow(ctx, g, s, t)
+	if err != nil {
+		return 0, nil, err
+	}
+	return v, nw.reachableFrom(s), nil
+}
+
+// maxFlow builds the residual network of g and runs Dinic from s to t to
+// completion. The network is left holding a genuine maximum flow (not a
+// preflow), from which MinSTCut reads its witness and STEnum the
+// Picard–Queyranne correspondence.
+func maxFlow(ctx context.Context, g *graph.Graph, s, t int32) (*network, int64, error) {
+	n := int32(g.NumVertices())
+	if s < 0 || s >= n || t < 0 || t >= n {
+		return nil, 0, fmt.Errorf("flow: terminals s=%d t=%d out of range [0,%d)", s, t, n)
+	}
+	if s == t {
+		return nil, 0, fmt.Errorf("flow: s and t are the same vertex %d", s)
+	}
 	nw := newNetwork(g)
-	parentArc := make([]int32, nw.n)
+	v := dinicAugment(ctx, nw, []int32{s}, t, math.MaxInt64,
+		make([]int32, n), make([]int32, n), make([]int32, 0, n))
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	return nw, v, nil
+}
+
+// dinicAugment augments nw in place toward a maximum flow from the
+// source set to t and returns the value pushed, stopping early once it
+// exceeds cap (pass math.MaxInt64 for an unconditional max flow). The
+// scratch slices level and it must have length nw.n; queue only needs
+// its backing capacity. Shared by the single-pair solver (maxFlow) and
+// the KT recursion's shared-residual stepping (Progressive.MaxFlowTo).
+//
+// A non-nil ctx is checked at every BFS phase boundary (each phase is one
+// blocking-flow computation); cancellation stops augmenting and returns
+// the value pushed so far. The partial flow left behind is feasible, so
+// an aborted call never corrupts the shared residual state — the caller
+// distinguishes "done" from "aborted" by checking ctx.Err() itself.
+func dinicAugment(ctx context.Context, nw *network, sources []int32, t int32, cap int64, level, it, queue []int32) int64 {
 	var total int64
-	for {
-		// BFS in the residual graph.
-		for i := range parentArc {
-			parentArc[i] = -1
+
+	bfs := func() bool {
+		for i := range level {
+			level[i] = -1
 		}
-		parentArc[s] = -2
-		queue := []int32{s}
-		found := false
-	bfs:
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		queue = queue[:0]
+		for _, s := range sources {
+			level[s] = 0
+			queue = append(queue, s)
+		}
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			for _, a := range nw.arcs(v) {
 				w := nw.head[a]
-				if parentArc[w] == -1 && nw.res[a] > 0 {
-					parentArc[w] = a
-					if w == t {
-						found = true
-						break bfs
-					}
+				if level[w] < 0 && nw.res[a] > 0 {
+					level[w] = level[v] + 1
 					queue = append(queue, w)
 				}
 			}
 		}
-		if !found {
-			break
-		}
-		// Bottleneck along the path.
-		bottleneck := int64(math.MaxInt64)
-		for v := t; v != s; {
-			a := parentArc[v]
-			if nw.res[a] < bottleneck {
-				bottleneck = nw.res[a]
-			}
-			v = nw.head[a^1]
-		}
-		for v := t; v != s; {
-			a := parentArc[v]
-			nw.push(a, bottleneck)
-			v = nw.head[a^1]
-		}
-		total += bottleneck
+		return level[t] >= 0
 	}
-	return total, nw.reachableFrom(s)
-}
 
-// MaxFlowPR computes the s-t maximum flow with a FIFO push-relabel
-// algorithm with the gap heuristic. It returns the flow value and the
-// s-side of a minimum s-t cut.
-func MaxFlowPR(g *graph.Graph, s, t int32) (int64, []bool) {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	n := nw.n
-	d := make([]int32, n) // distance labels
-	excess := make([]int64, n)
-	count := make([]int32, 2*n+1) // nodes per label
-	cur := make([]int32, n)       // current-arc positions
-
-	d[s] = int32(n)
-	count[0] = int32(n - 1)
-	count[n]++
-	var queue []int32
-	inQueue := make([]bool, n)
-	enqueue := func(v int32) {
-		if !inQueue[v] && v != s && v != t && excess[v] > 0 {
-			inQueue[v] = true
-			queue = append(queue, v)
+	var dfs func(v int32, limit int64) int64
+	dfs = func(v int32, limit int64) int64 {
+		if v == t {
+			return limit
 		}
-	}
-	for _, a := range nw.arcs(s) {
-		if nw.res[a] > 0 {
-			f := nw.res[a]
-			w := nw.head[a]
-			nw.push(a, f)
-			excess[w] += f
-			excess[s] -= f
-			enqueue(w)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
 		arcs := nw.arcs(v)
-		for excess[v] > 0 {
-			if cur[v] == int32(len(arcs)) {
-				// Relabel (with gap heuristic).
-				old := d[v]
-				count[old]--
-				if count[old] == 0 && old < int32(n) {
-					// Gap: nodes above `old` (below n) can never reach t.
-					for u := int32(0); u < int32(n); u++ {
-						if u != s && d[u] > old && d[u] < int32(n) {
-							count[d[u]]--
-							d[u] = int32(n) + 1
-							count[d[u]]++
-						}
-					}
-				}
-				newD := int32(2 * n)
-				for _, a := range arcs {
-					if nw.res[a] > 0 && d[nw.head[a]]+1 < newD {
-						newD = d[nw.head[a]] + 1
-					}
-				}
-				d[v] = newD
-				count[newD]++
-				cur[v] = 0
-				if newD >= int32(2*n) {
-					break // unreachable; excess stays (preflow)
-				}
+		for ; it[v] < int32(len(arcs)); it[v]++ {
+			a := arcs[it[v]]
+			w := nw.head[a]
+			if nw.res[a] <= 0 || level[w] != level[v]+1 {
 				continue
 			}
-			a := arcs[cur[v]]
-			w := nw.head[a]
-			if nw.res[a] > 0 && d[v] == d[w]+1 {
-				f := excess[v]
-				if nw.res[a] < f {
-					f = nw.res[a]
+			f := limit
+			if nw.res[a] < f {
+				f = nw.res[a]
+			}
+			if pushed := dfs(w, f); pushed > 0 {
+				nw.push(a, pushed)
+				return pushed
+			}
+		}
+		level[v] = -1 // dead end
+		return 0
+	}
+
+	for total <= cap && !(ctx != nil && ctx.Err() != nil) && bfs() {
+		for i := range it {
+			it[i] = 0
+		}
+		for _, s := range sources {
+			for total <= cap {
+				f := dfs(s, math.MaxInt64)
+				if f == 0 {
+					break
 				}
-				nw.push(a, f)
-				excess[v] -= f
-				excess[w] += f
-				enqueue(w)
-			} else {
-				cur[v]++
+				total += f
+			}
+			if total > cap {
+				break
 			}
 		}
 	}
-	return excess[t], invert(nw.reachableTo(t))
-}
-
-// MinSTCut returns the minimum s-t cut value and the s-side witness. It
-// uses push-relabel.
-func MinSTCut(g *graph.Graph, s, t int32) (int64, []bool) {
-	return MaxFlowPR(g, s, t)
-}
-
-func checkST(g *graph.Graph, s, t int32) {
-	n := int32(g.NumVertices())
-	if s < 0 || s >= n || t < 0 || t >= n {
-		panic(fmt.Sprintf("flow: s=%d t=%d out of range n=%d", s, t, n))
-	}
-	if s == t {
-		panic("flow: s == t")
-	}
-}
-
-func invert(b []bool) []bool {
-	out := make([]bool, len(b))
-	for i, v := range b {
-		out[i] = !v
-	}
-	return out
+	return total
 }

@@ -1,8 +1,9 @@
 // Package flow implements maximum-flow and flow-based minimum-cut
-// algorithms: Edmonds–Karp and push-relabel s-t max flow (verification
-// oracles and building blocks), and the Hao–Orlin global minimum-cut
-// algorithm — the strongest flow-based competitor in the paper's
-// experiments (HO-CGKLS, §4.1).
+// algorithms on one residual network: Dinic's s-t max flow (MinSTCut,
+// the Gusfield flow-equivalent tree, and the shared-residual stepping of
+// the Karzanov–Timofeev recursion, Progressive), and the Hao–Orlin
+// global minimum-cut algorithm — the strongest flow-based competitor in
+// the paper's experiments (HO-CGKLS, §4.1).
 package flow
 
 import (

@@ -3,19 +3,18 @@ package flow
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 )
 
-// Progressive is the residual-reuse companion of STEnum for the
-// Karzanov–Timofeev all-minimum-cuts recursion (internal/cactus): one
-// residual network is built once and shared across every step of the
-// recursion. The source is a growing SET of vertices (the contracted
-// prefix of the KT adjacency order); absorbing a vertex into the source
-// merely drops its conservation constraint, so the flow established in
-// earlier steps stays feasible and each step only AUGMENTS the shared
-// residual state instead of recomputing a max flow from scratch.
+// Progressive is the residual network of the Karzanov–Timofeev
+// all-minimum-cuts recursion (internal/cactus), built once and shared
+// across every step of the recursion. The source is a growing SET of
+// vertices (the contracted prefix of the KT adjacency order); absorbing
+// a vertex into the source merely drops its conservation constraint, so
+// the flow established in earlier steps stays feasible and each step
+// only AUGMENTS the shared residual state instead of recomputing a max
+// flow from scratch.
 //
 // Two facts make this sound:
 //
@@ -156,21 +155,6 @@ func (p *Progressive) MaxFlowTo(ctx context.Context, t int32, cap int64) (int64,
 		return v, ctx.Err()
 	}
 	return v, nil
-}
-
-// STMinCutCtx computes the minimum s-t cut with a cancellable Dinic max
-// flow, returning the value and the s-side witness. Cancellation between
-// BFS phases aborts with ctx.Err().
-func STMinCutCtx(ctx context.Context, g *graph.Graph, s, t int32) (int64, []bool, error) {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	n := nw.n
-	v := dinicAugment(ctx, nw, []int32{s}, t, int64(math.MaxInt64),
-		make([]int32, n), make([]int32, n), make([]int32, 0, n))
-	if ctx != nil && ctx.Err() != nil {
-		return v, nil, ctx.Err()
-	}
-	return v, nw.reachableFrom(s), nil
 }
 
 // reachableFromSources marks every vertex residual-reachable from the

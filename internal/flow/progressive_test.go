@@ -67,7 +67,7 @@ func TestProgressiveMatchesScratchFlows(t *testing.T) {
 				}
 				tgt := order[i]
 				cg, labels := contractPrefix(g, order, i)
-				want, _ := MaxFlowDinic(cg, 0, labels[tgt])
+				want, _ := minSTCut(cg, 0, labels[tgt])
 				got, _ := p.MaxFlowTo(context.Background(), tgt, want) // cap = exact value: must reach it
 				if got != want {
 					t.Fatalf("seed %d n %d step %d: progressive flow %d, scratch %d", seed, n, i, got, want)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/verify"
 )
 
-// Property: Edmonds–Karp and push-relabel agree on arbitrary graphs and
+// Property: Edmonds–Karp and Dinic agree on arbitrary graphs and
 // terminal pairs, and both witnesses are genuine minimum cuts.
 func TestPropertyMaxFlowImplementationsAgree(t *testing.T) {
 	f := func(seed uint64, sRaw, tRaw uint8) bool {
@@ -20,17 +20,17 @@ func TestPropertyMaxFlowImplementationsAgree(t *testing.T) {
 		if s == tt {
 			return true
 		}
-		ek, ekSide := MaxFlowEK(g, s, tt)
-		pr, prSide := MaxFlowPR(g, s, tt)
-		if ek != pr {
-			t.Logf("EK %d != PR %d", ek, pr)
+		ek, ekSide := maxFlowEK(g, s, tt)
+		dv, dSide := minSTCut(g, s, tt)
+		if ek != dv {
+			t.Logf("EK %d != Dinic %d", ek, dv)
 			return false
 		}
-		if verify.CutValue(g, ekSide) != ek || verify.CutValue(g, prSide) != pr {
+		if verify.CutValue(g, ekSide) != ek || verify.CutValue(g, dSide) != dv {
 			t.Log("witness mismatch")
 			return false
 		}
-		if !ekSide[s] || ekSide[tt] || !prSide[s] || prSide[tt] {
+		if !ekSide[s] || ekSide[tt] || !dSide[s] || dSide[tt] {
 			t.Log("terminals on wrong sides")
 			return false
 		}
@@ -46,8 +46,8 @@ func TestPropertyMaxFlowImplementationsAgree(t *testing.T) {
 func TestPropertyMaxFlowBoundsAndSymmetry(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.GNMWeighted(9, 20, 9, seed)
-		fwd, _ := MaxFlowPR(g, 0, 8)
-		rev, _ := MaxFlowPR(g, 8, 0)
+		fwd, _ := minSTCut(g, 0, 8)
+		rev, _ := minSTCut(g, 8, 0)
 		if fwd != rev {
 			t.Logf("asymmetric flow %d vs %d", fwd, rev)
 			return false
@@ -71,7 +71,7 @@ func TestPropertyHaoOrlinEqualsMinOverST(t *testing.T) {
 		ho, _ := HaoOrlin(g)
 		best := int64(1) << 62
 		for v := int32(1); v < 8; v++ {
-			st, _ := MaxFlowPR(g, 0, v)
+			st, _ := minSTCut(g, 0, v)
 			if st < best {
 				best = st
 			}
@@ -95,7 +95,7 @@ func TestPropertyFlowTreeMatchesDirect(t *testing.T) {
 			return true
 		}
 		tree := GusfieldTree(g)
-		direct, _ := MaxFlowPR(g, u, v)
+		direct, _ := minSTCut(g, u, v)
 		return tree.MinCutBetween(u, v) == direct
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -112,7 +112,7 @@ func TestUnitBridge(t *testing.T) {
 	b.AddEdge(1, 2, 1)
 	b.AddEdge(2, 3, 1<<30)
 	g := b.MustBuild()
-	v, side := MaxFlowPR(g, 0, 3)
+	v, side := minSTCut(g, 0, 3)
 	if v != 1 {
 		t.Fatalf("flow = %d, want 1", v)
 	}

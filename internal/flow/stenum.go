@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/graph"
 )
@@ -15,10 +14,11 @@ import (
 // connected components of the residual graph. Construction runs one exact
 // max flow (Dinic); Enumerate then lists cuts with polynomial delay.
 //
-// It is the building block of the all-global-minimum-cuts subsystem
-// (internal/cactus): there the number of cuts is bounded by n(n-1)/2, so
-// full enumeration is cheap. For arbitrary s-t pairs the number of minimum
-// cuts can be exponential; Enumerate's callback can stop early.
+// It is the engine of the quadratic reference enumeration that the
+// internal/cactus tests check the Karzanov–Timofeev recursion against,
+// exported because those tests cannot see this package's test files.
+// For arbitrary s-t pairs the number of minimum cuts can be exponential;
+// Enumerate's callback can stop early.
 type STEnum struct {
 	nw    *network
 	s, t  int32
@@ -40,14 +40,14 @@ const (
 )
 
 // NewSTEnum computes a maximum s-t flow of g (Dinic) and returns the
-// enumerator. Value and a canonical witness are available immediately;
-// Enumerate lists every minimum s-t cut.
+// enumerator. Value is available immediately; Enumerate lists every
+// minimum s-t cut. It panics if s or t is not a vertex of g or s == t.
 func NewSTEnum(g *graph.Graph, s, t int32) *STEnum {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	e := &STEnum{nw: nw, s: s, t: t}
-	e.value = dinic(nw, s, t)
-	return e
+	nw, v, err := maxFlow(context.Background(), g, s, t)
+	if err != nil {
+		panic(err)
+	}
+	return &STEnum{nw: nw, s: s, t: t, value: v}
 }
 
 // Value returns the maximum flow value = minimum s-t cut weight.
@@ -160,8 +160,8 @@ func (e *STEnum) prepare() {
 // into mandatory SCCs are always satisfied; edges into forbidden SCCs
 // cannot exist from free SCCs, since reaching a forbidden SCC reaches t)
 // and their Kahn topological order. Shared by STEnum.prepare and
-// Progressive.ChainCuts so the two enumeration strategies classify the
-// residual structure identically.
+// Progressive.ChainCuts so the reference enumeration and the KT chain
+// extraction classify the residual structure identically.
 func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int32, order []int32) {
 	seen := make([]int32, nscc)
 	for i := range seen {
@@ -285,105 +285,4 @@ func residualSCC(nw *network) ([]int32, int) {
 		}
 	}
 	return comp, nscc
-}
-
-// dinic computes a maximum s-t flow on nw in place and returns its value.
-// Unlike the push-relabel solver it terminates with a genuine flow (not a
-// preflow), which the Picard–Queyranne correspondence requires.
-func dinic(nw *network, s, t int32) int64 {
-	n := nw.n
-	return dinicAugment(nil, nw, []int32{s}, t, math.MaxInt64,
-		make([]int32, n), make([]int32, n), make([]int32, 0, n))
-}
-
-// dinicAugment augments nw in place toward a maximum flow from the
-// source set to t and returns the value pushed, stopping early once it
-// exceeds cap (pass math.MaxInt64 for an unconditional max flow). The
-// scratch slices level and it must have length nw.n; queue only needs
-// its backing capacity. Shared by the single-pair solver (dinic) and the
-// KT recursion's shared-residual stepping (Progressive.MaxFlowTo).
-//
-// A non-nil ctx is checked at every BFS phase boundary (each phase is one
-// blocking-flow computation); cancellation stops augmenting and returns
-// the value pushed so far. The partial flow left behind is feasible, so
-// an aborted call never corrupts the shared residual state — the caller
-// distinguishes "done" from "aborted" by checking ctx.Err() itself.
-func dinicAugment(ctx context.Context, nw *network, sources []int32, t int32, cap int64, level, it, queue []int32) int64 {
-	var total int64
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		queue = queue[:0]
-		for _, s := range sources {
-			level[s] = 0
-			queue = append(queue, s)
-		}
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, a := range nw.arcs(v) {
-				w := nw.head[a]
-				if level[w] < 0 && nw.res[a] > 0 {
-					level[w] = level[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(v int32, limit int64) int64
-	dfs = func(v int32, limit int64) int64 {
-		if v == t {
-			return limit
-		}
-		arcs := nw.arcs(v)
-		for ; it[v] < int32(len(arcs)); it[v]++ {
-			a := arcs[it[v]]
-			w := nw.head[a]
-			if nw.res[a] <= 0 || level[w] != level[v]+1 {
-				continue
-			}
-			f := limit
-			if nw.res[a] < f {
-				f = nw.res[a]
-			}
-			if pushed := dfs(w, f); pushed > 0 {
-				nw.push(a, pushed)
-				return pushed
-			}
-		}
-		level[v] = -1 // dead end
-		return 0
-	}
-
-	for total <= cap && !(ctx != nil && ctx.Err() != nil) && bfs() {
-		for i := range it {
-			it[i] = 0
-		}
-		for _, s := range sources {
-			for total <= cap {
-				f := dfs(s, math.MaxInt64)
-				if f == 0 {
-					break
-				}
-				total += f
-			}
-			if total > cap {
-				break
-			}
-		}
-	}
-	return total
-}
-
-// MaxFlowDinic computes the s-t maximum flow with Dinic's algorithm and
-// returns the flow value and the s-side of a minimum s-t cut. It is the
-// flow routine behind STEnum, exposed for the differential test suite.
-func MaxFlowDinic(g *graph.Graph, s, t int32) (int64, []bool) {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	v := dinic(nw, s, t)
-	return v, nw.reachableFrom(s)
 }

@@ -120,7 +120,7 @@ func TestSTEnumRandom(t *testing.T) {
 	}
 }
 
-func TestMaxFlowDinicMatchesPR(t *testing.T) {
+func TestMaxFlowDinicMatchesEK(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		n := 5 + int(seed%8)
 		g := gen.ConnectedGNM(n, 2*n, seed)
@@ -129,10 +129,10 @@ func TestMaxFlowDinicMatchesPR(t *testing.T) {
 			if s == tt {
 				continue
 			}
-			dv, dside := MaxFlowDinic(g, s, tt)
-			pv, _ := MaxFlowPR(g, s, tt)
-			if dv != pv {
-				t.Fatalf("seed %d: Dinic %d != push-relabel %d", seed, dv, pv)
+			dv, dside := minSTCut(g, s, tt)
+			ev, _ := maxFlowEK(g, s, tt)
+			if dv != ev {
+				t.Fatalf("seed %d: Dinic %d != Edmonds–Karp %d", seed, dv, ev)
 			}
 			// The Dinic witness must evaluate to the flow value.
 			var cut int64

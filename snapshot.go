@@ -138,7 +138,6 @@ func (s *Snapshot) AllMinCuts(ctx context.Context) (*AllCuts, error) {
 			Workers:       s.opts.AllCuts.Workers,
 			Seed:          s.opts.AllCuts.Seed,
 			MaxCuts:       s.opts.AllCuts.MaxCuts,
-			Strategy:      s.opts.AllCuts.Strategy,
 			NoMaterialize: s.opts.AllCuts.NoMaterialize,
 		}
 		if lam, ok := s.lambda.peek(); ok && lam.Exact && lam.Value > 0 {
@@ -160,9 +159,11 @@ func (s *Snapshot) CutValue(side []bool) int64 { return CutValue(s.g, side) }
 
 // STMinCut computes a minimum s-t cut (value and source-side witness)
 // with Dinic's algorithm on the snapshot's graph. Not cached — the
-// (s,t) key space is quadratic. Cancellation is checked per BFS phase.
+// (s,t) key space is quadratic. It returns an error when src or dst is
+// not a vertex of the graph or src == dst. Cancellation is checked per
+// BFS phase.
 func (s *Snapshot) STMinCut(ctx context.Context, src, dst int32) (int64, []bool, error) {
-	return flow.STMinCutCtx(ctx, s.g, src, dst)
+	return flow.MinSTCut(ctx, s.g, src, dst)
 }
 
 // LambdaCached returns the cached minimum cut, if one has been computed

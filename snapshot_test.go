@@ -73,6 +73,19 @@ func TestSnapshotQueriesMatchFreeFunctions(t *testing.T) {
 	}
 }
 
+// TestSnapshotSTMinCutBadTerminals checks that terminals outside the
+// graph or equal to each other come back as errors, not panics.
+func TestSnapshotSTMinCutBadTerminals(t *testing.T) {
+	g := twoCliques(t, 5)
+	n := int32(g.NumVertices())
+	s := NewSnapshot(g, SnapshotOptions{})
+	for _, st := range [][2]int32{{0, n}, {-1, 0}, {2, 2}} {
+		if v, side, err := s.STMinCut(context.Background(), st[0], st[1]); err == nil {
+			t.Errorf("STMinCut(%d, %d) = %d, %v; want an error", st[0], st[1], v, side)
+		}
+	}
+}
+
 // TestApplyReusesCertificates is the acceptance test for the epoch/
 // invalidation design: a non-crossing deletion and a non-crossing
 // insertion must carry both λ and the cactus into the new epoch without

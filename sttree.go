@@ -1,6 +1,8 @@
 package mincut
 
 import (
+	"context"
+
 	"repro/internal/flow"
 )
 
@@ -14,5 +16,13 @@ type FlowTree = flow.FlowTree
 func BuildFlowTree(g *Graph) *FlowTree { return flow.GusfieldTree(g) }
 
 // MinSTCut returns the minimum cut value separating s and t and a witness
-// side containing s, via push-relabel max-flow.
-func MinSTCut(g *Graph, s, t int32) (int64, []bool) { return flow.MinSTCut(g, s, t) }
+// side containing s, via Dinic max-flow. s and t must be distinct
+// vertices of g; MinSTCut panics otherwise. Snapshot.STMinCut reports
+// invalid terminals as an error instead.
+func MinSTCut(g *Graph, s, t int32) (int64, []bool) {
+	v, side, err := flow.MinSTCut(context.Background(), g, s, t)
+	if err != nil {
+		panic(err)
+	}
+	return v, side
+}
