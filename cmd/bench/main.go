@@ -7,7 +7,8 @@
 //	      [-cpuprofile file] [-memprofile file]
 //
 // Output goes to stdout in tab-separated tables whose rows and series
-// match the corresponding paper figure; EXPERIMENTS.md interprets them.
+// match the corresponding paper figure; README's cmd/bench entry lists
+// the experiments.
 // The cactus experiment times the all-minimum-cuts pipeline at one and
 // at GOMAXPROCS workers and, with -json, writes the BENCH_cactus.json
 // baseline; -instance restricts it to instances whose name contains the

@@ -380,6 +380,32 @@ func TestMutateValidation400(t *testing.T) {
 	}
 }
 
+// TestMutateMissingEdge400: a batch deleting an edge that does not exist
+// at its position is a 400 carrying the same indexed error on a cold
+// daemon (deletes batched) and a warm one (deletes checked one by one).
+func TestMutateMissingEdge400(t *testing.T) {
+	// 0-7 joins the two cliques nowhere; the batch then reinserts it and
+	// deletes a real edge, so only the first mutation is at fault.
+	const body = `{"mutations":[{"op":"delete","u":0,"v":7},` +
+		`{"op":"insert","u":0,"v":7,"weight":1},{"op":"delete","u":1,"v":2}]}`
+	const want = "mincut: mutation 0 deletes nonexistent edge (0,7)"
+	for _, warm := range []bool{false, true} {
+		srv := newTestServer(t, testGraph(t))
+		if warm {
+			getJSON(t, srv, "/allcuts", nil)
+			getJSON(t, srv, "/mincut", nil)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/mutate", bytes.NewBufferString(body)))
+		var e struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error != want {
+			t.Errorf("warm=%v: status %d body %s, want 400 with %q", warm, rec.Code, rec.Body.String(), want)
+		}
+	}
+}
+
 // TestMutateBodyLimit413: oversized /mutate bodies are rejected with a
 // JSON 413 before any decoding work.
 func TestMutateBodyLimit413(t *testing.T) {

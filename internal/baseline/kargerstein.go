@@ -2,8 +2,6 @@ package baseline
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/dsu"
 	"repro/internal/gen"
@@ -23,11 +21,7 @@ func KargerStein(g *graph.Graph, trials int, seed uint64) (int64, []bool) {
 	if n < 2 {
 		return 0, nil
 	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
+	if side := g.DisconnectedWitness(); side != nil {
 		return 0, side
 	}
 	if trials < 1 {
@@ -44,70 +38,6 @@ func KargerStein(g *graph.Graph, trials int, seed uint64) (int64, []bool) {
 		}
 	}
 	return best, bestSide
-}
-
-// KargerSteinParallel runs the independent Karger–Stein trials across the
-// given number of workers — the embarrassingly parallel strategy behind
-// the MPI implementation of Gianinazzi et al. that the paper compares
-// against (§2.2, §4.1). Determinism: the per-trial seeds match the
-// sequential KargerStein, so for a fixed trial count both return the same
-// value distribution.
-func KargerSteinParallel(g *graph.Graph, trials, workers int, seed uint64) (int64, []bool) {
-	n := g.NumVertices()
-	if n < 2 {
-		return 0, nil
-	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
-		return 0, side
-	}
-	if trials < 1 {
-		trials = 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	// Pre-derive per-trial generators exactly as the sequential version.
-	rng := gen.NewRNG(seed)
-	rngs := make([]*gen.RNG, trials)
-	for i := range rngs {
-		rngs[i] = rng.Fork()
-	}
-	type outcome struct {
-		value int64
-		side  []bool
-	}
-	results := make([]outcome, trials)
-	var wg sync.WaitGroup
-	next := make(chan int, trials)
-	for i := 0; i < trials; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				v, side := ksRecurse(g, rngs[i])
-				results[i] = outcome{v, side}
-			}
-		}()
-	}
-	wg.Wait()
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.value < best.value {
-			best = r
-		}
-	}
-	return best.value, best.side
 }
 
 // RecommendedTrials returns the Θ(log² n) trial count for a
@@ -134,10 +64,7 @@ func ksRecurse(g *graph.Graph, rng *gen.RNG) (int64, []bool) {
 		v, side := ksRecurse(h, rng)
 		if v < best {
 			best = v
-			bestSide = make([]bool, n)
-			for u := 0; u < n; u++ {
-				bestSide[u] = side[mapping[u]]
-			}
+			bestSide = graph.LiftSide(mapping, side)
 		}
 	}
 	return best, bestSide

@@ -21,30 +21,19 @@ func Matula(g *graph.Graph, eps float64) (int64, []bool) {
 	if n < 2 {
 		return 0, nil
 	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
+	if side := g.DisconnectedWitness(); side != nil {
 		return 0, side
 	}
 	if eps <= 0 {
 		eps = 0.1
 	}
 
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.Identity(n)
 	cur := g
 	best := int64(math.MaxInt64)
 	var bestSide []bool
 	record := func(val int64, block int32) {
-		best = val
-		bestSide = make([]bool, n)
-		for orig, l := range labels {
-			bestSide[orig] = l == block
-		}
+		best, bestSide = val, graph.LiftBlock(labels, block)
 	}
 
 	seed := uint64(1)
@@ -71,14 +60,7 @@ func Matula(g *graph.Graph, eps float64) (int64, []bool) {
 		if res.Improved && res.Bound < best {
 			// A genuine cut below τ was observed during the scan.
 			best = res.Bound
-			curSide := make([]bool, cur.NumVertices())
-			for _, v := range res.Order[:res.BestPrefixLen] {
-				curSide[v] = true
-			}
-			bestSide = make([]bool, n)
-			for orig, l := range labels {
-				bestSide[orig] = curSide[l]
-			}
+			bestSide = graph.LiftPrefix(labels, cur.NumVertices(), res.Order[:res.BestPrefixLen])
 		}
 		mapping, blocks := u.Mapping()
 		if blocks == cur.NumVertices() {

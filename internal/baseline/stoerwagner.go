@@ -24,18 +24,11 @@ func StoerWagner(g *graph.Graph) (int64, []bool) {
 	if n < 2 {
 		return 0, nil
 	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
+	if side := g.DisconnectedWitness(); side != nil {
 		return 0, side
 	}
 
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.Identity(n)
 	cur := g
 	best := int64(math.MaxInt64)
 	var bestSide []bool
@@ -44,10 +37,7 @@ func StoerWagner(g *graph.Graph) (int64, []bool) {
 		phaseVal, last, pair := MAPhase(cur)
 		if phaseVal < best {
 			best = phaseVal
-			bestSide = make([]bool, n)
-			for orig, l := range labels {
-				bestSide[orig] = l == last
-			}
+			bestSide = graph.LiftBlock(labels, last)
 		}
 		if cur.NumVertices() == 2 {
 			break

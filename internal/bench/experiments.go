@@ -264,10 +264,9 @@ func Ablation(w io.Writer, s Scale) {
 		row(w, inst.Name, lambda, vc.Value, vc.Value == lambda)
 	}
 
-	// Contraction scheme ablation (§3.2): sequential map aggregation vs
-	// the paper's concurrent hash table vs the engineered scatter
-	// pipeline, on a label-propagation clustering of the largest
-	// instance.
+	// Contraction scheme ablation (§3.2): the scatter pipeline on one
+	// worker vs GOMAXPROCS workers, on a label-propagation clustering of
+	// the largest instance.
 	big := instances[0].G
 	for _, inst := range instances[1:] {
 		if inst.G.NumEdges() > big.NumEdges() {
@@ -283,7 +282,6 @@ func Ablation(w io.Writer, s Scale) {
 		run  func()
 	}{
 		{"sequential (1 worker)", func() { big.Contract(m) }},
-		{"concurrent hash table (paper §3.2)", func() { big.ContractParallelCHT(m, 0) }},
 		{"parallel scatter (engineered)", func() { big.ContractParallel(m, 0) }},
 	} {
 		var total time.Duration

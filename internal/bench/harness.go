@@ -6,8 +6,8 @@
 //
 // Absolute numbers differ from the paper's Xeon E5-2643v4 testbed; the
 // harness exists to reproduce the *shape* of each result: which algorithm
-// wins, by what factor, and where the crossovers fall. EXPERIMENTS.md
-// records paper-vs-measured values per experiment.
+// wins, by what factor, and where the crossovers fall. README's cmd/bench
+// entry lists the experiments.
 package bench
 
 import (
@@ -21,7 +21,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -52,17 +51,6 @@ func SequentialAlgos() []Algo {
 		{"NOI-HNSS-VieCut", noiAlgo(pq.KindHeap, false, true)},
 		{"NOIl-Heap-VieCut", noiAlgo(pq.KindHeap, true, true)},
 	}
-}
-
-// ExtendedAlgos adds the remaining exact baselines, used by the
-// performance profile when -all is requested.
-func ExtendedAlgos() []Algo {
-	return append(SequentialAlgos(),
-		Algo{"StoerWagner", func(g *graph.Graph, _ uint64) int64 {
-			v, _ := baseline.StoerWagner(g)
-			return v
-		}},
-	)
 }
 
 func noiAlgo(kind pq.Kind, bounded, withVieCut bool) func(*graph.Graph, uint64) int64 {

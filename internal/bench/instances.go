@@ -45,7 +45,7 @@ func SmallScale() Scale {
 	}
 }
 
-// MediumScale is the default for EXPERIMENTS.md numbers.
+// MediumScale is cmd/bench -scale medium.
 func MediumScale() Scale {
 	return Scale{
 		RHGScales:  []int{12, 13, 14},

@@ -84,15 +84,6 @@ func (c *Cactus) NumTreeEdges() int {
 	return n
 }
 
-// NodeVertices groups the graph vertices by cactus node.
-func (c *Cactus) NodeVertices() [][]int32 {
-	out := make([][]int32, c.NumNodes)
-	for v, node := range c.VertexNode {
-		out[node] = append(out[node], int32(v))
-	}
-	return out
-}
-
 // String returns a short summary.
 func (c *Cactus) String() string {
 	return fmt.Sprintf("cactus{λ=%d nodes=%d tree=%d cycles=%d}",
@@ -207,20 +198,6 @@ func (c *Cactus) EachMinCut(fn func(side []bool) bool) {
 // array comparison.
 func (c *Cactus) Crosses(u, v int32) bool {
 	return c.VertexNode[u] != c.VertexNode[v]
-}
-
-// CrossingEdges returns the number of edges of g that some minimum cut
-// crosses, i.e. whose endpoints lie in distinct cactus nodes. Edges with
-// both endpoints in one atom can be deleted or reweighted without
-// touching any minimum cut's value (they never contribute to one).
-func (c *Cactus) CrossingEdges(g *graph.Graph) int {
-	n := 0
-	g.ForEachEdge(func(u, v int32, _ int64) {
-		if c.Crosses(u, v) {
-			n++
-		}
-	})
-	return n
 }
 
 // CountCuts returns the number of distinct minimum cuts the cactus

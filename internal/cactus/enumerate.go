@@ -166,7 +166,7 @@ func allMinCuts(ctx context.Context, g *graph.Graph, opts Options, enumerate enu
 	res.Lambda = lambda
 
 	// Kernelize: contract everything no minimum cut separates.
-	kg, labels := g, identity(n)
+	kg, labels := g, graph.Identity(n)
 	if !opts.DisableKernel {
 		start := time.Now()
 		k, err := core.KernelizeAllCuts(ctx, g, lambda, opts.Workers, seed)
@@ -303,12 +303,4 @@ func materialize(kcuts []bitset, labels []int32, n int) [][]bool {
 		sorted[a] = cuts[i]
 	}
 	return sorted
-}
-
-func identity(n int) []int32 {
-	id := make([]int32, n)
-	for i := range id {
-		id[i] = int32(i)
-	}
-	return id
 }

@@ -43,12 +43,11 @@ func KernelizeAllCuts(ctx context.Context, g *graph.Graph, lambda int64, workers
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumVertices()
-	k := Kernel{Graph: g, Labels: identityLabels(n), Lambda: lambda}
+	k := Kernel{Graph: g, Labels: graph.Identity(n), Lambda: lambda}
 	if n < 3 || lambda <= 0 {
 		return k, ctx.Err()
 	}
-	threshold := lambda + 1
-	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: threshold, Ctx: ctx}
+	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: lambda + 1, Ctx: ctx}
 	cur := g
 	for cur.NumVertices() > 2 {
 		if err := ctx.Err(); err != nil {
@@ -58,20 +57,8 @@ func KernelizeAllCuts(ctx context.Context, g *graph.Graph, lambda int64, workers
 		k.Rounds++
 		seed++
 		opts.Seed = seed
-		nc := cur.NumVertices()
-
-		var mapping []int32
-		var blocks int
-		if workers > 1 && nc >= 1<<10 {
-			u := dsu.NewConcurrent(nc)
-			capforest.RunParallel(cur, u, threshold, workers, opts)
-			mapping, blocks = u.Mapping()
-		} else {
-			d := dsu.New(nc)
-			capforest.Run(cur, d, threshold, opts)
-			mapping, blocks = d.Mapping()
-		}
-		if blocks == nc {
+		mapping, blocks := certifyRound(cur, workers, opts)
+		if blocks == cur.NumVertices() {
 			break // fixpoint: no edge certified above λ
 		}
 		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
@@ -121,23 +108,11 @@ func CertifyConnectivity(ctx context.Context, g *graph.Graph, u, v int32, thresh
 		}
 		seed++
 		opts.Seed = seed
-		nc := cur.NumVertices()
-
-		var mapping []int32
-		var blocks int
-		if workers > 1 && nc >= 1<<10 {
-			d := dsu.NewConcurrent(nc)
-			capforest.RunParallel(cur, d, threshold, workers, opts)
-			mapping, blocks = d.Mapping()
-		} else {
-			d := dsu.New(nc)
-			capforest.Run(cur, d, threshold, opts)
-			mapping, blocks = d.Mapping()
-		}
+		mapping, blocks := certifyRound(cur, workers, opts)
 		if mapping[cu] == mapping[cv] {
 			return true, nil
 		}
-		if blocks == nc {
+		if blocks == cur.NumVertices() {
 			return false, nil // fixpoint: inconclusive
 		}
 		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
@@ -146,10 +121,18 @@ func CertifyConnectivity(ctx context.Context, g *graph.Graph, u, v int32, thresh
 	return false, ctx.Err()
 }
 
-func identityLabels(n int) []int32 {
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
+// certifyRound runs one CAPFOREST scan at the fixed threshold
+// opts.FixedThreshold — in parallel when the graph is large enough to
+// amortize it — and returns the mapping that contracts every certified
+// pair.
+func certifyRound(g *graph.Graph, workers int, opts capforest.Options) ([]int32, int) {
+	nc := g.NumVertices()
+	if workers > 1 && nc >= 1<<10 {
+		u := dsu.NewConcurrent(nc)
+		capforest.RunParallel(g, u, opts.FixedThreshold, workers, opts)
+		return u.Mapping()
 	}
-	return labels
+	d := dsu.New(nc)
+	capforest.Run(g, d, opts.FixedThreshold, opts)
+	return d.Mapping()
 }

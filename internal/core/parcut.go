@@ -22,7 +22,6 @@ import (
 	"repro/internal/capforest"
 	"repro/internal/dsu"
 	"repro/internal/graph"
-	"repro/internal/noi"
 	"repro/internal/pq"
 	"repro/internal/viecut"
 )
@@ -92,19 +91,12 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 	if n < 2 {
 		return Result{}, ctx.Err()
 	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
+	if side := g.DisconnectedWitness(); side != nil {
 		return Result{Value: 0, Side: side}, ctx.Err()
 	}
 
 	res := Result{Value: math.MaxInt64}
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.Identity(n)
 
 	// Initial bound: trivial minimum-degree cut.
 	mv, delta := g.MinDegreeVertex()
@@ -172,7 +164,7 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 			res.Stats.Add(cf.Stats)
 			if cf.Improved && cf.Bound < res.Value {
 				res.Value = cf.Bound
-				res.Side = materializePrefix(labels, nc, cf.Order[:cf.BestPrefixLen])
+				res.Side = graph.LiftPrefix(labels, nc, cf.Order[:cf.BestPrefixLen])
 			}
 			mapping, blocks = d.Mapping()
 			if blocks == nc {
@@ -180,7 +172,7 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 				phaseVal, last, pair := baseline.MAPhase(cur)
 				if phaseVal < res.Value {
 					res.Value = phaseVal
-					res.Side = materializeBlock(labels, last)
+					res.Side = graph.LiftBlock(labels, last)
 				}
 				m := graph.MergePairMapping(nc, pair[0], pair[1])
 				mapping, blocks = m.Block, m.NumBlocks
@@ -201,7 +193,7 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 		}
 		if v, d := cur.MinDegreeVertex(); d < res.Value {
 			res.Value = d
-			res.Side = materializeBlock(labels, v)
+			res.Side = graph.LiftBlock(labels, v)
 		}
 	}
 	return res, ctx.Err()
@@ -224,36 +216,5 @@ func bestWorkerWitness(par capforest.ParallelResult, labels []int32, nc int) []b
 		return nil
 	}
 	wr := par.Workers[bestW]
-	return materializePrefix(labels, nc, wr.Order[:wr.BestPrefixLen])
-}
-
-func materializePrefix(labels []int32, nc int, prefix []int32) []bool {
-	curSide := make([]bool, nc)
-	for _, v := range prefix {
-		curSide[v] = true
-	}
-	side := make([]bool, len(labels))
-	for orig, l := range labels {
-		side[orig] = curSide[l]
-	}
-	return side
-}
-
-func materializeBlock(labels []int32, b int32) []bool {
-	side := make([]bool, len(labels))
-	for orig, l := range labels {
-		side[orig] = l == b
-	}
-	return side
-}
-
-// SequentialBaseline exposes the best sequential configuration
-// (NOIλ̂-Heap with a VieCut bound) for speedup measurements, mirroring the
-// bottom row of the paper's Figure 5.
-func SequentialBaseline(g *graph.Graph, seed uint64) noi.Result {
-	vc := viecut.Run(g, viecut.Options{Workers: 1, Seed: seed})
-	return noi.MinimumCut(g, noi.Options{
-		Queue: pq.KindHeap, Bounded: true,
-		InitialBound: vc.Value, InitialSide: vc.Side, Seed: seed,
-	})
+	return graph.LiftPrefix(labels, nc, wr.Order[:wr.BestPrefixLen])
 }

@@ -174,18 +174,6 @@ func TestValueDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestSequentialBaseline(t *testing.T) {
-	g := gen.ConnectedGNM(300, 1200, 13)
-	want := noi.MinimumCut(g, noi.Options{Queue: pq.KindHeap}).Value
-	res := SequentialBaseline(g, 1)
-	if res.Value != want {
-		t.Fatalf("SequentialBaseline = %d, want %d", res.Value, want)
-	}
-	if err := verify.ValidateWitness(g, res.Side, want); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsAndRounds(t *testing.T) {
 	g := gen.BarabasiAlbert(1000, 4, 3)
 	res, _ := ParallelMinimumCut(context.Background(), g, defaultOpts(4))

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cht"
 )
 
 // Mapping is a dense relabeling of vertices: Mapping[v] is the id of the
@@ -36,6 +34,46 @@ func NewMappingFromLabels(labels []int32) Mapping {
 	return Mapping{Block: block, NumBlocks: int(next)}
 }
 
+// Identity returns the labels 0..n-1: every vertex its own block, the
+// starting point of a solver that composes contraction mappings.
+func Identity(n int) []int32 {
+	id := make([]int32, n)
+	for i := range id {
+		id[i] = int32(i)
+	}
+	return id
+}
+
+// LiftBlock returns the cut side, over original vertices, formed by the
+// vertices that labels maps onto contracted vertex b.
+func LiftBlock(labels []int32, b int32) []bool {
+	side := make([]bool, len(labels))
+	for v, l := range labels {
+		side[v] = l == b
+	}
+	return side
+}
+
+// LiftSide carries a cut side of a contracted graph back to the original
+// vertices: v is on the side when its contracted vertex labels[v] is.
+func LiftSide(labels []int32, side []bool) []bool {
+	out := make([]bool, len(labels))
+	for v, l := range labels {
+		out[v] = side[l]
+	}
+	return out
+}
+
+// LiftPrefix lifts the cut side formed by the vertices in prefix, a
+// scan-order prefix of a contracted graph with nc vertices.
+func LiftPrefix(labels []int32, nc int, prefix []int32) []bool {
+	side := make([]bool, nc)
+	for _, v := range prefix {
+		side[v] = true
+	}
+	return LiftSide(labels, side)
+}
+
 // Contract builds the contracted graph G/Mapping: one vertex per block,
 // edges between distinct blocks aggregated by weight, intra-block edges
 // dropped. It runs the scatter pipeline single-threaded; see
@@ -58,8 +96,7 @@ func (g *Graph) Contract(m Mapping) *Graph {
 // This is an engineering refinement over the paper's §3.2 scheme (worker
 // maps flushed into a shared concurrent hash table): profiling showed
 // hash operations dominating the solver on dense graphs, and the scatter
-// pipeline is 3-5× faster. The paper-faithful implementation remains
-// available as ContractParallelCHT and in the ablation benchmarks.
+// pipeline measured 3-5× faster than the hash table.
 func (g *Graph) ContractParallel(m Mapping, workers int) *Graph {
 	if len(m.Block) != g.NumVertices() {
 		panic(fmt.Sprintf("graph: mapping length %d != n %d", len(m.Block), g.NumVertices()))
@@ -193,155 +230,6 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ContractParallelCHT is the paper-faithful §3.2 contraction: worker-local
-// pair aggregation flushed into a shared concurrent hash table. Kept for
-// the design-choice ablation; ContractParallel is the production path.
-func (g *Graph) ContractParallelCHT(m Mapping, workers int) *Graph {
-	if len(m.Block) != g.NumVertices() {
-		panic(fmt.Sprintf("graph: mapping length %d != n %d", len(m.Block), g.NumVertices()))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := g.NumVertices()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 1<<12 {
-		return g.Contract(m)
-	}
-
-	// Phase 1: worker-local aggregation over vertex ranges.
-	locals := make([]map[uint64]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			locals[w] = map[uint64]int64{}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := make(map[uint64]int64, (g.xadj[hi]-g.xadj[lo])/2+1)
-			for u := lo; u < hi; u++ {
-				bu := m.Block[u]
-				for i := g.xadj[u]; i < g.xadj[u+1]; i++ {
-					v := g.adj[i]
-					if v <= int32(u) {
-						continue // each undirected edge handled once
-					}
-					bv := m.Block[v]
-					if bu == bv {
-						continue
-					}
-					a, b := bu, bv
-					if a > b {
-						a, b = b, a
-					}
-					// a < b, so b ≥ 1 and the packed key is never the
-					// table's reserved zero key.
-					local[uint64(a)<<32|uint64(uint32(b))] += g.wgt[i]
-				}
-			}
-			locals[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	// Phase 2: flush the private maps into the shared table in parallel.
-	capacity := 0
-	for _, l := range locals {
-		capacity += len(l)
-	}
-	if capacity == 0 {
-		h, err := FromEdges(m.NumBlocks, nil)
-		if err != nil {
-			panic(err)
-		}
-		return h
-	}
-	tab := cht.New(capacity)
-	for w := 0; w < workers; w++ {
-		if len(locals[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(local map[uint64]int64) {
-			defer wg.Done()
-			for k, v := range local {
-				if !tab.Add(k, v) {
-					panic("graph: contraction hash table overflow")
-				}
-			}
-		}(locals[w])
-	}
-	wg.Wait()
-
-	// Phase 3: extract unique pairs and assemble the CSR by counting
-	// scatter; sorting each adjacency list afterwards makes the layout
-	// deterministic.
-	edges := make([]Edge, 0, tab.Len())
-	tab.ForEach(func(k uint64, wgt int64) {
-		edges = append(edges, Edge{U: int32(k >> 32), V: int32(uint32(k)), Weight: wgt})
-	})
-	return fromUniqueEdges(m.NumBlocks, edges, workers)
-}
-
-// fromUniqueEdges assembles a CSR from a list of distinct loop-free edges
-// (u < v) without the global sort of FromEdges. Adjacency lists come out
-// sorted ascending, which FromEdges's "smaller neighbors first, then
-// larger" layout is not; both orders are valid and Equal compares edge
-// sets, not layouts.
-func fromUniqueEdges(n int, edges []Edge, workers int) *Graph {
-	xadj := make([]int, n+1)
-	for _, e := range edges {
-		xadj[e.U+1]++
-		xadj[e.V+1]++
-	}
-	for i := 1; i <= n; i++ {
-		xadj[i] += xadj[i-1]
-	}
-	adj := make([]int32, xadj[n])
-	wgt := make([]int64, xadj[n])
-	next := make([]int, n)
-	copy(next, xadj[:n])
-	for _, e := range edges {
-		adj[next[e.U]], wgt[next[e.U]] = e.V, e.Weight
-		next[e.U]++
-		adj[next[e.V]], wgt[next[e.V]] = e.U, e.Weight
-		next[e.V]++
-	}
-	deg := make([]int64, n)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				a := adj[xadj[v]:xadj[v+1]]
-				ws := wgt[xadj[v]:xadj[v+1]]
-				sort.Sort(&adjSorter{a, ws})
-				var d int64
-				for _, x := range ws {
-					d += x
-				}
-				deg[v] = d
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return &Graph{xadj: xadj, adj: adj, wgt: wgt, deg: deg}
-}
-
 // adjSorter sorts an adjacency list and its weights by neighbor id.
 type adjSorter struct {
 	adj []int32
@@ -353,27 +241,6 @@ func (s *adjSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
 func (s *adjSorter) Swap(i, j int) {
 	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
 	s.wgt[i], s.wgt[j] = s.wgt[j], s.wgt[i]
-}
-
-// ContractEdge returns G/(u,v): the graph with u and v merged. It is a
-// convenience for tests and for Karger-style algorithms on small graphs.
-func (g *Graph) ContractEdge(u, v int32) *Graph {
-	n := g.NumVertices()
-	block := make([]int32, n)
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	next := int32(0)
-	for i := 0; i < n; i++ {
-		if int32(i) == hi {
-			block[i] = block[lo]
-			continue
-		}
-		block[i] = next
-		next++
-	}
-	return g.Contract(Mapping{Block: block, NumBlocks: int(next)})
 }
 
 // MergePairMapping builds the contraction mapping over n vertices that
@@ -459,6 +326,20 @@ func (g *Graph) Components() ([]int32, int) {
 	return comp, int(k)
 }
 
+// DisconnectedWitness returns a weight-0 cut of a disconnected g — the
+// component of vertex 0 — or nil when g is connected.
+func (g *Graph) DisconnectedWitness() []bool {
+	comp, k := g.Components()
+	if k <= 1 {
+		return nil
+	}
+	side := make([]bool, len(comp))
+	for v, c := range comp {
+		side[v] = c == 0
+	}
+	return side
+}
+
 // IsConnected reports whether g is connected. The empty graph and the
 // single-vertex graph are considered connected.
 func (g *Graph) IsConnected() bool {
@@ -471,7 +352,7 @@ func (g *Graph) IsConnected() bool {
 func (g *Graph) LargestComponent() (*Graph, []int32) {
 	comp, k := g.Components()
 	if k <= 1 {
-		return g, identity(g.NumVertices())
+		return g, Identity(g.NumVertices())
 	}
 	sizes := make([]int, k)
 	for _, c := range comp {
@@ -500,12 +381,4 @@ func (g *Graph) DegreeHistogram() []int {
 	}
 	sort.Ints(h)
 	return h
-}
-
-func identity(n int) []int32 {
-	id := make([]int32, n)
-	for i := range id {
-		id[i] = int32(i)
-	}
-	return id
 }

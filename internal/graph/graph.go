@@ -155,10 +155,6 @@ func NewBuilder(n int) *Builder { return &Builder{n: n} }
 // are aggregated at Build time.
 func (b *Builder) AddEdge(u, v int32, w int64) { b.edges = append(b.edges, Edge{u, v, w}) }
 
-// NumPending returns the number of edges recorded so far (before
-// aggregation).
-func (b *Builder) NumPending() int { return len(b.edges) }
-
 // Build validates and assembles the graph. The Builder may be reused
 // afterwards; the built graph does not alias its storage.
 func (b *Builder) Build() (*Graph, error) {

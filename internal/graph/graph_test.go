@@ -171,17 +171,6 @@ func TestContractTriangle(t *testing.T) {
 	}
 }
 
-func TestContractEdge(t *testing.T) {
-	g := triangle(t)
-	h := g.ContractEdge(0, 2)
-	if h.NumVertices() != 2 || h.NumEdges() != 1 {
-		t.Fatalf("n=%d m=%d, want 2,1", h.NumVertices(), h.NumEdges())
-	}
-	if w := h.EdgeWeight(0, 1); w != 5 { // edges 0-1 (2) and 2-1 (3)
-		t.Errorf("weight = %d, want 5", w)
-	}
-}
-
 func TestNewMappingFromLabels(t *testing.T) {
 	m := NewMappingFromLabels([]int32{7, 3, 7, 9, 3})
 	if m.NumBlocks != 3 {
@@ -243,9 +232,6 @@ func TestContractVariantsMatchNaive(t *testing.T) {
 		if par := g.ContractParallel(m, 8); !Equal(want, par) {
 			t.Fatalf("trial %d: parallel contraction differs from naive (n=%d blocks=%d)", trial, n, blocks)
 		}
-		if tab := g.ContractParallelCHT(m, 8); !Equal(want, tab) {
-			t.Fatalf("trial %d: hash-table contraction differs from naive (n=%d blocks=%d)", trial, n, blocks)
-		}
 	}
 }
 
@@ -270,11 +256,6 @@ func BenchmarkContractVariants(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g.Contract(m)
-		}
-	})
-	b.Run("cht", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.ContractParallelCHT(m, 0)
 		}
 	})
 	b.Run("scatter", func(b *testing.B) {

@@ -1,57 +1,5 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Stats summarizes a graph for experiment tables and tooling.
-type Stats struct {
-	N            int
-	M            int
-	MinDegree    int   // unweighted
-	MaxDegree    int   // unweighted
-	MinWDegree   int64 // weighted
-	TotalWeight  int64
-	Components   int
-	MedianDegree int
-}
-
-// ComputeStats gathers Stats in one pass plus a component search.
-func ComputeStats(g *Graph) Stats {
-	n := g.NumVertices()
-	s := Stats{N: n, M: g.NumEdges(), TotalWeight: g.TotalWeight()}
-	_, s.Components = g.Components()
-	if n == 0 {
-		return s
-	}
-	degs := make([]int, n)
-	s.MinDegree = g.Degree(0)
-	s.MinWDegree = g.WeightedDegree(0)
-	for v := 0; v < n; v++ {
-		d := g.Degree(int32(v))
-		degs[v] = d
-		if d < s.MinDegree {
-			s.MinDegree = d
-		}
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
-		if wd := g.WeightedDegree(int32(v)); wd < s.MinWDegree {
-			s.MinWDegree = wd
-		}
-	}
-	sort.Ints(degs)
-	s.MedianDegree = degs[n/2]
-	return s
-}
-
-// String renders the summary on one line.
-func (s Stats) String() string {
-	return fmt.Sprintf("n=%d m=%d deg[min=%d med=%d max=%d] δ=%d W=%d comps=%d",
-		s.N, s.M, s.MinDegree, s.MedianDegree, s.MaxDegree, s.MinWDegree, s.TotalWeight, s.Components)
-}
-
 // BFSDistances returns the unweighted BFS distance from src to every
 // vertex (-1 = unreachable), a helper for diameter estimates and tests.
 func (g *Graph) BFSDistances(src int32) []int32 {

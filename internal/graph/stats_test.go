@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func statsFixture(t *testing.T) *Graph {
 	t.Helper()
@@ -13,32 +10,6 @@ func statsFixture(t *testing.T) *Graph {
 	b.AddEdge(1, 2, 3)
 	b.AddEdge(2, 3, 4)
 	return b.MustBuild()
-}
-
-func TestComputeStats(t *testing.T) {
-	g := statsFixture(t)
-	s := ComputeStats(g)
-	if s.N != 5 || s.M != 3 {
-		t.Errorf("N=%d M=%d", s.N, s.M)
-	}
-	if s.MinDegree != 0 || s.MaxDegree != 2 {
-		t.Errorf("degree range [%d,%d], want [0,2]", s.MinDegree, s.MaxDegree)
-	}
-	if s.MinWDegree != 0 {
-		t.Errorf("MinWDegree = %d, want 0 (isolated vertex)", s.MinWDegree)
-	}
-	if s.TotalWeight != 9 {
-		t.Errorf("TotalWeight = %d, want 9", s.TotalWeight)
-	}
-	if s.Components != 2 {
-		t.Errorf("Components = %d, want 2", s.Components)
-	}
-	if !strings.Contains(s.String(), "n=5") {
-		t.Errorf("String() = %q", s.String())
-	}
-	if empty := ComputeStats(NewBuilder(0).MustBuild()); empty.N != 0 || empty.Components != 0 {
-		t.Error("empty stats wrong")
-	}
 }
 
 func TestBFSDistances(t *testing.T) {

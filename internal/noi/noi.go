@@ -61,12 +61,8 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 	if n < 2 {
 		return Result{}
 	}
-	if comp, k := g.Components(); k > 1 {
+	if side := g.DisconnectedWitness(); side != nil {
 		// Disconnected: the empty cut between components.
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
 		return Result{Value: 0, Side: side}
 	}
 
@@ -86,10 +82,7 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 		}
 	}
 
-	labels := make([]int32, n) // original vertex -> current contracted vertex
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.Identity(n) // original vertex -> current contracted vertex
 	cur := g
 	seed := opts.Seed
 
@@ -105,7 +98,7 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 		res.Stats.Add(cf.Stats)
 		if cf.Improved {
 			res.Value = cf.Bound
-			res.Side = materializePrefix(labels, cur.NumVertices(), cf.Order[:cf.BestPrefixLen])
+			res.Side = graph.LiftPrefix(labels, cur.NumVertices(), cf.Order[:cf.BestPrefixLen])
 		}
 		mapping, blocks := u.Mapping()
 		if blocks == cur.NumVertices() {
@@ -115,7 +108,7 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 			phaseVal, last, merged := baseline.MAPhase(cur)
 			if phaseVal < res.Value {
 				res.Value = phaseVal
-				res.Side = materializeBlock(labels, last)
+				res.Side = graph.LiftBlock(labels, last)
 			}
 			m := graph.MergePairMapping(cur.NumVertices(), merged[0], merged[1])
 			mapping, blocks = m.Block, m.NumBlocks
@@ -131,32 +124,8 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 		}
 		if v, d := cur.MinDegreeVertex(); d < res.Value {
 			res.Value = d
-			res.Side = materializeBlock(labels, v)
+			res.Side = graph.LiftBlock(labels, v)
 		}
 	}
 	return res
-}
-
-// materializePrefix converts a scan-order prefix over current vertices
-// into a witness over original vertices.
-func materializePrefix(labels []int32, nc int, prefix []int32) []bool {
-	curSide := make([]bool, nc)
-	for _, v := range prefix {
-		curSide[v] = true
-	}
-	side := make([]bool, len(labels))
-	for orig, l := range labels {
-		side[orig] = curSide[l]
-	}
-	return side
-}
-
-// materializeBlock marks the original vertices currently contracted into
-// block b.
-func materializeBlock(labels []int32, b int32) []bool {
-	side := make([]bool, len(labels))
-	for orig, l := range labels {
-		side[orig] = l == b
-	}
-	return side
 }

@@ -120,29 +120,6 @@ func Apply(g *graph.Graph, bound int64, u Unioner) int {
 	return unions
 }
 
-// ApplyRepeatedly alternates Apply and contraction until a pass yields no
-// union, returning the final contracted graph and the composed mapping
-// from g's vertices to the result's vertices.
-func ApplyRepeatedly(g *graph.Graph, bound int64) (*graph.Graph, []int32) {
-	cur := g
-	labels := make([]int32, g.NumVertices())
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	for cur.NumVertices() > 2 {
-		u := dsu.New(cur.NumVertices())
-		if Apply(cur, bound, u) == 0 {
-			break
-		}
-		mapping, blocks := u.Mapping()
-		cur = cur.Contract(graph.Mapping{Block: mapping, NumBlocks: blocks})
-		for i := range labels {
-			labels[i] = mapping[labels[i]]
-		}
-	}
-	return cur, labels
-}
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

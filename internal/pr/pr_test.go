@@ -99,23 +99,6 @@ func TestPR3UsesTriangles(t *testing.T) {
 	}
 }
 
-func TestApplyRepeatedlyShrinks(t *testing.T) {
-	g := gen.Complete(20)
-	_, delta := g.MinDegreeVertex()
-	h, labels := ApplyRepeatedly(g, delta)
-	if h.NumVertices() > 2 {
-		t.Errorf("K20 should collapse nearly completely, still %d vertices", h.NumVertices())
-	}
-	if len(labels) != 20 {
-		t.Errorf("labels length %d", len(labels))
-	}
-	for _, l := range labels {
-		if int(l) >= h.NumVertices() {
-			t.Fatalf("label %d out of range %d", l, h.NumVertices())
-		}
-	}
-}
-
 func TestApplyWithConcurrentDSU(t *testing.T) {
 	g := gen.Complete(10)
 	u := dsu.NewConcurrent(10)

@@ -47,30 +47,16 @@ func Run(g *graph.Graph, opts Options) Result {
 	if n < 2 {
 		return Result{}
 	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
+	if side := g.DisconnectedWitness(); side != nil {
 		return Result{Value: 0, Side: side}
 	}
 
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.Identity(n)
 	cur := g
 	mv, delta := g.MinDegreeVertex()
 	res := Result{Value: delta, Side: make([]bool, n)}
 	res.Side[mv] = true
 
-	recordBlock := func(b int32) {
-		side := make([]bool, n)
-		for orig, l := range labels {
-			side[orig] = l == b
-		}
-		res.Side = side
-	}
 	contract := func(mapping []int32, blocks int) {
 		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, opts.Workers)
 		for i := range labels {
@@ -79,7 +65,7 @@ func Run(g *graph.Graph, opts Options) Result {
 		if cur.NumVertices() >= 2 {
 			if v, d := cur.MinDegreeVertex(); d < res.Value {
 				res.Value = d
-				recordBlock(v)
+				res.Side = graph.LiftBlock(labels, v)
 			}
 		}
 	}
@@ -120,11 +106,7 @@ func Run(g *graph.Graph, opts Options) Result {
 		base := noi.MinimumCut(cur, noi.Options{Queue: pq.KindBStack, Bounded: true, Seed: seed})
 		if base.Value < res.Value && base.Side != nil {
 			res.Value = base.Value
-			side := make([]bool, n)
-			for orig, l := range labels {
-				side[orig] = base.Side[l]
-			}
-			res.Side = side
+			res.Side = graph.LiftSide(labels, base.Side)
 		}
 	}
 	return res

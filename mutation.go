@@ -82,6 +82,13 @@ func (m Mutation) validate(i, n int) error {
 	return nil
 }
 
+// errMissingEdge reports that mutation i deletes an edge absent from the
+// graph at its position in the batch. It is a graph-state error, so it
+// does not wrap ErrInvalidMutation.
+func errMissingEdge(i int, m Mutation) error {
+	return fmt.Errorf("mincut: mutation %d deletes nonexistent edge (%d,%d)", i, m.U, m.V)
+}
+
 // Reused reports which of a snapshot's cached certificates Apply proved
 // still valid and carried into the new snapshot, so callers (and tests)
 // can tell a certificate-preserving mutation from one that forces

@@ -187,7 +187,8 @@ func (s *Snapshot) CactusCached() (*AllCuts, bool) { return s.cuts.peek() }
 // id, so a hostile batch cannot panic a server holding a warm cache.
 // Deleting an edge that does not exist (a graph-state condition, not a
 // structural one) is still reported from the mutation's position in the
-// batch, without ErrInvalidMutation.
+// batch, without ErrInvalidMutation, with the same error whether or not
+// certificates are cached.
 //
 // The reuse rules — each sound, none complete (a failed proof forces
 // lazy recomputation, never a wrong answer):
@@ -265,9 +266,11 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 
 	// Batching state for the dead-certificate fast path: ApplyDelta
 	// applies deletes before inserts, so a maximal deletes-then-inserts
-	// run coalesces into one rebuild.
+	// run coalesces into one rebuild. Queued deletes are checked against
+	// cur minus the deletes already queued (pendSet, normalized pairs).
 	var pendIns []Edge
 	var pendDel [][2]int32
+	pendSet := make(map[[2]int32]bool)
 	flush := func() error {
 		if len(pendIns) == 0 && len(pendDel) == 0 {
 			return nil
@@ -277,6 +280,7 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 			return err
 		}
 		cur, pendIns, pendDel = g, pendIns[:0], pendDel[:0]
+		clear(pendSet)
 		r.Rebuilds++
 		return nil
 	}
@@ -297,6 +301,11 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 						return nil, Reused{}, fmt.Errorf("mincut: mutation %d: %w", i, err)
 					}
 				}
+				key := [2]int32{min(m.U, m.V), max(m.U, m.V)}
+				if pendSet[key] || !cur.HasEdge(m.U, m.V) {
+					return nil, Reused{}, errMissingEdge(i, m)
+				}
+				pendSet[key] = true
 				pendDel = append(pendDel, [2]int32{m.U, m.V})
 			} else {
 				pendIns = append(pendIns, Edge{U: m.U, V: m.V, Weight: m.Weight})
@@ -323,7 +332,7 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 		case MutDelete:
 			w := cur.EdgeWeight(m.U, m.V)
 			if w == 0 {
-				return nil, Reused{}, fmt.Errorf("mincut: mutation %d deletes nonexistent edge (%d,%d)", i, m.U, m.V)
+				return nil, Reused{}, errMissingEdge(i, m)
 			}
 			if lam.Value == 0 {
 				cactOK = false // λ and the 0-weight witness survive; stats like Components do not

@@ -289,6 +289,55 @@ func TestApplyReusesCertificates(t *testing.T) {
 	})
 }
 
+// TestApplyMissingEdgeSameErrorColdAndWarm: deleting an edge that does
+// not exist at its position in the batch fails with the same indexed
+// error whether the snapshot holds certificates (deletes are checked one
+// at a time) or not (deletes are queued for a batched rebuild).
+func TestApplyMissingEdgeSameErrorColdAndWarm(t *testing.T) {
+	ctx := context.Background()
+	ring4 := ringGraph(t, 4) // edges 0-1, 1-2, 2-3, 3-0
+	cases := []struct {
+		name  string
+		batch []Mutation
+		want  string
+	}{
+		{"lone missing edge", []Mutation{DeleteEdge(0, 2)},
+			"mincut: mutation 0 deletes nonexistent edge (0,2)"},
+		{"missing edge first", []Mutation{DeleteEdge(0, 2), InsertEdge(0, 2, 1), DeleteEdge(1, 2)},
+			"mincut: mutation 0 deletes nonexistent edge (0,2)"},
+		{"missing edge after an insert", []Mutation{InsertEdge(0, 2, 1), DeleteEdge(1, 3)},
+			"mincut: mutation 1 deletes nonexistent edge (1,3)"},
+		{"same edge deleted twice", []Mutation{DeleteEdge(0, 1), DeleteEdge(0, 1)},
+			"mincut: mutation 1 deletes nonexistent edge (0,1)"},
+		{"same edge deleted twice, reversed", []Mutation{DeleteEdge(2, 3), DeleteEdge(3, 2)},
+			"mincut: mutation 1 deletes nonexistent edge (3,2)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cold := NewSnapshot(ring4, SnapshotOptions{})
+			warm := NewSnapshot(ring4, SnapshotOptions{})
+			if _, err := warm.AllMinCuts(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.MinCut(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*Snapshot{"cold": cold, "warm": warm} {
+				ns, _, err := s.Apply(ctx, tc.batch)
+				if err == nil || ns != nil {
+					t.Fatalf("%s: Apply succeeded, want %q", name, tc.want)
+				}
+				if err.Error() != tc.want {
+					t.Errorf("%s: error %q, want %q", name, err, tc.want)
+				}
+				if errors.Is(err, ErrInvalidMutation) {
+					t.Errorf("%s: missing edge reported as ErrInvalidMutation: %v", name, err)
+				}
+			}
+		})
+	}
+}
+
 // TestApplyAgainstFreshSolve cross-validates the invalidation rules on a
 // mutation walk: after every Apply the (possibly carried) λ must equal a
 // from-scratch solve, and a carried witness must evaluate to λ.
