@@ -33,8 +33,10 @@ type Algorithm int
 
 const (
 	// AlgoParallel is the paper's shared-memory parallel exact algorithm
-	// (Algorithm 2): VieCut bound + parallel CAPFOREST + parallel
-	// contraction. The default.
+	// (Algorithm 2): parallel CAPFOREST + parallel contraction, with the
+	// VieCut bound computed on the graph that the first round leaves
+	// rather than on the whole input, where it mostly confirms the
+	// minimum degree at a cost that grows with the input. The default.
 	AlgoParallel Algorithm = iota
 	// AlgoNOI is the engineered sequential solver NOIλ̂: bounded priority
 	// queues, optionally seeded with a VieCut bound (§3.1).
@@ -140,20 +142,22 @@ func (k QueueKind) toPQ(def pq.Kind) pq.Kind {
 
 // Options configures Solve. The zero value requests the paper's default
 // configuration: the parallel exact solver with a FIFO bucket queue,
-// bounded priorities, a VieCut bound, and GOMAXPROCS workers.
+// bounded priorities, a VieCut bound computed after the first CAPFOREST
+// round, and GOMAXPROCS workers.
 type Options struct {
 	// Algorithm selects the solver (default AlgoParallel).
 	Algorithm Algorithm
-	// Workers bounds parallelism for AlgoParallel and AlgoVieCut
-	// (≤ 0 means GOMAXPROCS).
+	// Workers bounds parallelism for AlgoParallel, AlgoVieCut and the
+	// VieCut bound of AlgoNOI (≤ 0 means GOMAXPROCS).
 	Workers int
 	// Queue selects the priority queue for CAPFOREST-based solvers.
 	// QueueAuto (the zero value) picks QueueBQueue for the parallel
 	// solver — the paper's best parallel variant — and QueueBStack for
 	// AlgoNOI, its best sequential variant.
 	Queue QueueKind
-	// DisableVieCut skips the initial inexact bound for AlgoParallel and
-	// AlgoNOI (ablation).
+	// DisableVieCut skips the inexact VieCut bound (ablation). AlgoParallel
+	// computes that bound on the graph its first CAPFOREST round leaves,
+	// AlgoNOI on the whole input.
 	DisableVieCut bool
 	// Trials is the repetition count for AlgoKargerStein (default
 	// Θ(log² n)).

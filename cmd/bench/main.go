@@ -9,6 +9,9 @@
 // Output goes to stdout in tab-separated tables whose rows and series
 // match the corresponding paper figure; README's cmd/bench entry lists
 // the experiments.
+// The ablation experiment ends with a table of ParCutλ̂-BQueue times with
+// and without VieCut at one and at GOMAXPROCS workers and, with -json,
+// writes those rows as the BENCH_parcut.json baseline.
 // The cactus experiment times the all-minimum-cuts pipeline at one and
 // at GOMAXPROCS workers and, with -json, writes the BENCH_cactus.json
 // baseline; -instance restricts it to instances whose name contains the
@@ -51,7 +54,7 @@ func main() {
 func run() int {
 	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, table1, ablation, cactus, solve, service, or all")
 	scale := flag.String("scale", "small", "small, medium, or large")
-	jsonPath := flag.String("json", "", "with -experiment cactus, solve, or service: also write the measurements as a JSON baseline")
+	jsonPath := flag.String("json", "", "with -experiment ablation, cactus, solve, or service: also write the measurements as a JSON baseline")
 	instance := flag.String("instance", "", "with -experiment cactus: only run instances whose name contains this substring")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
@@ -130,7 +133,10 @@ func run() int {
 	case "table1":
 		bench.Table1(w, s)
 	case "ablation":
-		bench.Ablation(w, s)
+		pms := bench.Ablation(w, s)
+		if *jsonPath != "" {
+			writeJSON(bench.WriteJSON(*jsonPath, pms))
+		}
 	case "cactus":
 		cms := bench.CactusBench(w, s, *instance)
 		if *jsonPath != "" {

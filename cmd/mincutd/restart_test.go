@@ -154,3 +154,39 @@ func TestCheckpointTruncatesWALAndRestores(t *testing.T) {
 			snapB.Graph().EdgeWeight(4, 8), snapB.Graph().EdgeWeight(0, 9))
 	}
 }
+
+// TestMutateWeightOverflow400NotLogged: a batch whose inserts push the
+// total edge weight past int64 is rejected by Apply with a 400 before
+// the WAL append, so the epoch stays put and nothing is logged. Each
+// insert weighs 2⁶², so every degree still fits; only the total does
+// not.
+func TestMutateWeightOverflow400NotLogged(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "mutations.wal")
+	wal, err := persist.OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServerCfg(t, testGraph(t), serverConfig{wal: wal})
+	getJSON(t, srv, "/mincut", nil)
+
+	const overflow = `{"mutations":[{"op":"insert","u":0,"v":1,"weight":4611686018427387904},` +
+		`{"op":"insert","u":2,"v":3,"weight":4611686018427387904}]}`
+	if code, _ := postMutate(t, srv, overflow); code != http.StatusBadRequest {
+		t.Fatalf("overflowing batch: status %d, want 400", code)
+	}
+	records := 0
+	if _, err := persist.ReplayWAL(walPath, func(persist.Record) error { records++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if records != 0 {
+		t.Fatalf("rejected batch logged: %d WAL records", records)
+	}
+	var mc struct {
+		Lambda int64  `json:"lambda"`
+		Epoch  uint64 `json:"epoch"`
+	}
+	getJSON(t, srv, "/mincut", &mc)
+	if mc.Lambda != 2 || mc.Epoch != 0 {
+		t.Fatalf("after the rejected batch: lambda=%d epoch=%d, want 2/0", mc.Lambda, mc.Epoch)
+	}
+}

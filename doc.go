@@ -70,9 +70,10 @@
 //
 // This library provides:
 //
-//   - the paper's engineered solver: VieCut-derived bounds, bounded
-//     priority queues, parallel CAPFOREST and parallel contraction
-//     (Solve with AlgoParallel, the default);
+//   - the paper's engineered solver: bounded priority queues, parallel
+//     CAPFOREST, parallel contraction and a VieCut bound computed on the
+//     graph the first round leaves (Solve with AlgoParallel, the
+//     default);
 //   - the sequential Nagamochi–Ono–Ibaraki variants NOI-HNSS and NOIλ̂
 //     with BStack/BQueue/Heap priority queues (AlgoNOI, AlgoNOIUnbounded);
 //   - exact baselines: Hao–Orlin (AlgoHaoOrlin), Stoer–Wagner

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -163,5 +164,51 @@ func TestMaxWorkersShape(t *testing.T) {
 		if ws[i] <= ws[i-1] {
 			t.Fatalf("not increasing: %v", ws)
 		}
+	}
+}
+
+// The ParCut ± VieCut table runs both arms at one worker and at
+// GOMAXPROCS workers, and every row of an instance carries one λ, which
+// never exceeds δ.
+func TestParCutVieCutTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	s := tinyScale()
+	var buf bytes.Buffer
+	cores := CoreInstances(s)
+	rows := parCutVieCutTable(&buf, s, cores)
+	type key struct {
+		inst    string
+		workers int
+		vieCut  bool
+	}
+	seen := map[key]bool{}
+	lambda := map[string]int64{}
+	for _, r := range rows {
+		seen[key{r.Instance, r.Workers, r.VieCut}] = true
+		if l, ok := lambda[r.Instance]; ok && l != r.Lambda {
+			t.Errorf("%s: lambda %d and %d", r.Instance, l, r.Lambda)
+		}
+		lambda[r.Instance] = r.Lambda
+		if r.Lambda > r.Delta || r.Millis <= 0 {
+			t.Errorf("row %+v: lambda above delta or no time", r)
+		}
+	}
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	for inst := range lambda {
+		for _, w := range workers {
+			for _, vc := range []bool{true, false} {
+				if !seen[key{inst, w, vc}] {
+					t.Errorf("%s: no row for workers=%d viecut=%v", inst, w, vc)
+				}
+			}
+		}
+	}
+	if len(lambda) != len(cores)+len(ScalingInstances(s)) {
+		t.Errorf("%d instances in the table, want every core and scaling instance", len(lambda))
 	}
 }

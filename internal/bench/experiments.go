@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -176,7 +177,7 @@ func Fig5(w io.Writer, s Scale) {
 			r := []any{p}
 			var bq time.Duration
 			for _, k := range kinds {
-				m := Time(inst.Name, inst.G, ParallelAlgo(k, p), s.Reps, s.Seed)
+				m := Time(inst.Name, inst.G, ParallelAlgo(k, p, false), s.Reps, s.Seed)
 				if p == 1 {
 					base[k] = m.Elapsed
 				}
@@ -211,10 +212,27 @@ func Table1(w io.Writer, s Scale) {
 	}
 }
 
+// ParCutMeasurement is one ParCutλ̂-BQueue timing of the VieCut ablation:
+// an instance, its minimum degree δ and minimum cut λ, the worker count,
+// and whether VieCut ran. The collected slice is the BENCH_parcut.json
+// baseline.
+type ParCutMeasurement struct {
+	Instance string  `json:"instance"`
+	N        int     `json:"n"`
+	M        int     `json:"m"`
+	Delta    int64   `json:"delta"`
+	Lambda   int64   `json:"lambda"`
+	Workers  int     `json:"workers"`
+	VieCut   bool    `json:"viecut"`
+	Millis   float64 `json:"ms"`
+}
+
 // Ablation quantifies the paper's §4.2 mechanism claims: priority-queue
 // traffic saved by the λ̂ bound, and the geometric-mean speedups of the
-// engineered variants over NOI-HNSS.
-func Ablation(w io.Writer, s Scale) {
+// engineered variants over NOI-HNSS. Its last table times ParCutλ̂-BQueue
+// with and without VieCut on the k-core and scaling instances at one and
+// at GOMAXPROCS workers; those rows are returned for WriteJSON.
+func Ablation(w io.Writer, s Scale) []ParCutMeasurement {
 	header(w, "Ablation: bounded priority queues and the VieCut bound (§4.2)")
 	instances := CoreInstances(s)
 
@@ -222,7 +240,7 @@ func Ablation(w io.Writer, s Scale) {
 	for _, inst := range instances {
 		if s.Cancelled() {
 			fmt.Fprintln(w, "(interrupted: partial results above)")
-			return
+			return nil
 		}
 		ub := noi.MinimumCut(inst.G, noi.Options{Queue: pq.KindHeap, Bounded: false, Seed: s.Seed})
 		bd := noi.MinimumCut(inst.G, noi.Options{Queue: pq.KindHeap, Bounded: true, Seed: s.Seed})
@@ -292,6 +310,54 @@ func Ablation(w io.Writer, s Scale) {
 		}
 		row(w, variant.name, total/time.Duration(s.Reps))
 	}
+
+	return parCutVieCutTable(w, s, instances)
+}
+
+// parCutVieCutTable times ParCutλ̂-BQueue with VieCut and with
+// DisableVieCut on the k-core and scaling instances, at one worker and at
+// GOMAXPROCS workers. It panics if the two arms disagree on λ.
+func parCutVieCutTable(w io.Writer, s Scale, cores []CoreInstance) []ParCutMeasurement {
+	instances := make([]Instance, 0, len(cores))
+	for _, c := range cores {
+		instances = append(instances, Instance{Name: c.Name, G: c.G})
+	}
+	instances = append(instances, ScalingInstances(s)...)
+	workerCounts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workerCounts = append(workerCounts, p)
+	}
+
+	fmt.Fprintln(w)
+	row(w, "instance", "n", "m", "delta", "lambda", "workers", "viecut", "ms")
+	var out []ParCutMeasurement
+	for _, inst := range instances {
+		if s.Cancelled() {
+			fmt.Fprintln(w, "(interrupted: partial results above)")
+			break
+		}
+		_, delta := inst.G.MinDegreeVertex()
+		for _, workers := range workerCounts {
+			var lambda int64
+			for _, vieCut := range []bool{true, false} {
+				m := Time(inst.Name, inst.G, ParallelAlgo(pq.KindBQueue, workers, !vieCut), s.Reps, s.Seed)
+				if vieCut {
+					lambda = m.Value
+				} else if m.Value != lambda {
+					panic(fmt.Sprintf("bench: %s at %d workers: ParCut %d with VieCut, %d without",
+						inst.Name, workers, lambda, m.Value))
+				}
+				r := ParCutMeasurement{
+					Instance: inst.Name, N: inst.G.NumVertices(), M: inst.G.NumEdges(),
+					Delta: delta, Lambda: m.Value, Workers: workers, VieCut: vieCut,
+					Millis: float64(m.Elapsed.Microseconds()) / 1000,
+				}
+				out = append(out, r)
+				row(w, r.Instance, r.N, r.M, r.Delta, r.Lambda, r.Workers, r.VieCut, r.Millis)
+			}
+		}
+	}
+	return out
 }
 
 func checkAgreement(ms []Measurement) {

@@ -64,13 +64,14 @@ func noiAlgo(kind pq.Kind, bounded, withVieCut bool) func(*graph.Graph, uint64) 
 	}
 }
 
-// ParallelAlgo returns the paper's ParCutλ̂ variant for the given queue.
-func ParallelAlgo(kind pq.Kind, workers int) Algo {
+// ParallelAlgo returns the paper's ParCutλ̂ variant for the given queue;
+// disableVieCut drops its VieCut bound (the ablation arm).
+func ParallelAlgo(kind pq.Kind, workers int, disableVieCut bool) Algo {
 	return Algo{
 		Name: "ParCutl-" + kind.String(),
 		Run: func(g *graph.Graph, seed uint64) int64 {
 			r, _ := core.ParallelMinimumCut(context.Background(), g, core.Options{
-				Workers: workers, Queue: kind, Bounded: true, Seed: seed,
+				Workers: workers, Queue: kind, Bounded: true, DisableVieCut: disableVieCut, Seed: seed,
 			})
 			return r.Value
 		},

@@ -38,7 +38,7 @@ func solveAlgos() []Algo {
 			return v
 		}},
 		{"NOIl-BStack", noiAlgo(pq.KindBStack, true, false)},
-		ParallelAlgo(pq.KindBQueue, 0), // 0 workers = GOMAXPROCS
+		ParallelAlgo(pq.KindBQueue, 0, false), // 0 workers = GOMAXPROCS
 	}
 }
 

@@ -104,4 +104,43 @@ func TestFromEdgesWeightOverflow(t *testing.T) {
 	if g.WeightedDegree(0) != 2*(big/2) {
 		t.Errorf("WeightedDegree(0) = %d", g.WeightedDegree(0))
 	}
+
+	// A cut can outweigh every degree: on the path 0–1–2–3 with weights
+	// 2⁶³−2, 1, 2⁶³−2 every degree fits, but the cut {1,2} does not.
+	if _, err := FromEdges(4, []Edge{{0, 1, big}, {1, 2, 1}, {2, 3, big}}); err == nil {
+		t.Error("heavy path: total-weight overflow not detected")
+	}
+	// The same path reached from the unit path by two inserts of weight
+	// 2⁶³−3.
+	path := MustFromEdges(4, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}})
+	if _, err := ApplyDelta(path, []Edge{{0, 1, big - 1}, {2, 3, big - 1}}, nil); err == nil {
+		t.Error("ApplyDelta: total-weight overflow not detected")
+	}
+	if _, err := ApplyDelta(path, []Edge{{0, 3, math.MaxInt64 - 2}}, nil); err == nil {
+		t.Error("ApplyDelta: total one past MaxInt64 not detected")
+	}
+
+	// A total of exactly 2⁶³−1 is legal, and TotalWeight reports it.
+	g, err = FromEdges(3, []Edge{{0, 1, 1 << 62}, {1, 2, 1<<62 - 1}})
+	if err != nil {
+		t.Fatalf("total of exactly MaxInt64 rejected: %v", err)
+	}
+	if got := g.TotalWeight(); got != math.MaxInt64 {
+		t.Errorf("TotalWeight = %d, want %d", got, int64(math.MaxInt64))
+	}
+	h, err := ApplyDelta(path, []Edge{{0, 3, math.MaxInt64 - 3}}, nil)
+	if err != nil {
+		t.Fatalf("ApplyDelta to a total of exactly MaxInt64 rejected: %v", err)
+	}
+	if got := h.TotalWeight(); got != math.MaxInt64 {
+		t.Errorf("ApplyDelta: TotalWeight = %d, want %d", got, int64(math.MaxInt64))
+	}
+	// A delete frees the weight that a same-delta insert then uses.
+	h, err = ApplyDelta(h, []Edge{{1, 3, 1}}, [][2]int32{{1, 2}})
+	if err != nil {
+		t.Fatalf("insert after a freeing delete rejected: %v", err)
+	}
+	if got := h.TotalWeight(); got != math.MaxInt64 {
+		t.Errorf("after delete+insert: TotalWeight = %d, want %d", got, int64(math.MaxInt64))
+	}
 }

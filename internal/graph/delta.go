@@ -12,10 +12,10 @@ import (
 // behind Snapshot.Apply). Deletes remove whole edges — each {u,v} pair
 // must currently exist, and deleting it drops its full aggregated weight.
 // Inserts follow FromEdges semantics: weights must be strictly positive,
-// parallel inserts aggregate, and inserting a pair that survives the
-// deletes aggregates onto the existing edge. Deleting and inserting the
-// same pair in one delta replaces the edge (the delete removes the old
-// weight first).
+// parallel inserts aggregate, inserting a pair that survives the deletes
+// aggregates onto the existing edge, and the total edge weight of the
+// result must fit in int64. Deleting and inserting the same pair in one
+// delta replaces the edge (the delete removes the old weight first).
 //
 // The rebuild is a single linear merge of g's sorted edge stream with the
 // sorted insert list — O(m + k log k) for k inserts — followed by the
@@ -47,6 +47,7 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 	}
 
 	// Normalize and aggregate the inserts, exactly like FromEdges.
+	var insTotal int64
 	ins := make([]Edge, 0, len(inserts))
 	for _, e := range inserts {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
@@ -58,6 +59,10 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 		if e.U == e.V {
 			continue
 		}
+		if e.Weight > math.MaxInt64-insTotal {
+			return nil, errTotalOverflow
+		}
+		insTotal += e.Weight
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
@@ -72,19 +77,18 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 	agg := ins[:0]
 	for _, e := range ins {
 		if len(agg) > 0 && agg[len(agg)-1].U == e.U && agg[len(agg)-1].V == e.V {
-			prev := &agg[len(agg)-1]
-			if prev.Weight > math.MaxInt64-e.Weight {
-				return nil, fmt.Errorf("graph: aggregated insert weight of (%d,%d) overflows int64", e.U, e.V)
-			}
-			prev.Weight += e.Weight
+			agg[len(agg)-1].Weight += e.Weight
 		} else {
 			agg = append(agg, e)
 		}
 	}
 
-	// Merge the (sorted) existing edge stream with the sorted inserts.
+	// Merge the (sorted) existing edge stream with the sorted inserts,
+	// summing the surviving weight. It fits in int64 because g's total
+	// does; an aggregated weight may wrap here only when the result's
+	// total overflows, and that result is rejected below.
 	merged := make([]Edge, 0, g.NumEdges()+len(agg))
-	var mergeErr error
+	var total int64
 	i := 0
 	emit := func(e Edge) {
 		for i < len(agg) && less(agg[i], e) {
@@ -92,9 +96,6 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 			i++
 		}
 		if i < len(agg) && agg[i].U == e.U && agg[i].V == e.V {
-			if e.Weight > math.MaxInt64-agg[i].Weight {
-				mergeErr = fmt.Errorf("graph: weight of edge (%d,%d) overflows int64 after insert", e.U, e.V)
-			}
 			e.Weight += agg[i].Weight
 			i++
 		}
@@ -106,16 +107,17 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 			// leading-insert loop in a later emit (or the tail drain) add it.
 			return
 		}
+		total += w
 		emit(Edge{U: u, V: v, Weight: w})
 	})
-	if mergeErr != nil {
-		return nil, mergeErr
+	if insTotal > math.MaxInt64-total {
+		return nil, errTotalOverflow
 	}
 	for ; i < len(agg); i++ {
 		merged = append(merged, agg[i])
 	}
 
-	return fromSortedEdges(n, merged)
+	return fromSortedEdges(n, merged), nil
 }
 
 // less orders edges by (U, V).
@@ -130,8 +132,9 @@ func less(a, b Edge) bool {
 func pairKey(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // fromSortedEdges assembles the CSR from an already sorted, aggregated,
-// validated edge list (the tail of FromEdges without its normalization).
-func fromSortedEdges(n int, agg []Edge) (*Graph, error) {
+// validated edge list whose total weight fits in int64, the tail shared
+// by FromEdges and ApplyDelta.
+func fromSortedEdges(n int, agg []Edge) *Graph {
 	xadj := make([]int, n+1)
 	for _, e := range agg {
 		xadj[e.U+1]++
@@ -154,12 +157,9 @@ func fromSortedEdges(n int, agg []Edge) (*Graph, error) {
 	for v := 0; v < n; v++ {
 		var d int64
 		for i := xadj[v]; i < xadj[v+1]; i++ {
-			if d > math.MaxInt64-wgt[i] {
-				return nil, fmt.Errorf("graph: weighted degree of vertex %d overflows int64", v)
-			}
 			d += wgt[i]
 		}
 		deg[v] = d
 	}
-	return &Graph{xadj: xadj, adj: adj, wgt: wgt, deg: deg}, nil
+	return &Graph{xadj: xadj, adj: adj, wgt: wgt, deg: deg}
 }

@@ -10,6 +10,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -82,13 +83,11 @@ func (g *Graph) MinDegreeVertex() (int32, int64) {
 }
 
 // TotalWeight returns the sum of all edge weights (each undirected edge
-// counted once).
+// counted once). The constructors guarantee that it fits in int64.
 func (g *Graph) TotalWeight() int64 {
 	var s int64
-	for _, w := range g.wgt {
-		s += w
-	}
-	return s / 2
+	g.ForEachEdge(func(_, _ int32, w int64) { s += w })
+	return s
 }
 
 // EdgeWeight returns the weight of edge {u,v}, or 0 if no such edge exists.
@@ -172,10 +171,15 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // FromEdges assembles a graph from an edge list. Self loops are dropped,
-// parallel edges aggregated. Out-of-range endpoints and non-positive
-// weights are rejected with an error (so arbitrary, e.g. fuzz-generated,
-// edge lists can never corrupt the CSR arrays or panic downstream
+// parallel edges aggregated. Out-of-range endpoints, non-positive weights
+// and a total edge weight above math.MaxInt64 are rejected with an error
+// (so arbitrary, e.g. fuzz-generated, edge lists can never corrupt the
+// CSR arrays, wrap a weight into a negative value or panic downstream
 // algorithms that rely on strictly positive weights).
+//
+// The total weight bounds every aggregated edge weight, every weighted
+// degree, every cut and every degree of a contracted graph, so checking
+// it once is what lets the solvers add weights without overflow checks.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -183,6 +187,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: vertex count %d exceeds int32", n)
 	}
+	var total int64
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
@@ -190,6 +195,13 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		if e.Weight <= 0 {
 			return nil, fmt.Errorf("graph: edge (%d,%d) has non-positive weight %d", e.U, e.V, e.Weight)
 		}
+		if e.U == e.V {
+			continue
+		}
+		if e.Weight > math.MaxInt64-total {
+			return nil, errTotalOverflow
+		}
+		total += e.Weight
 	}
 	// Normalize: drop loops, orient u < v, sort, aggregate.
 	norm := make([]Edge, 0, len(edges))
@@ -211,47 +223,17 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	agg := norm[:0]
 	for _, e := range norm {
 		if len(agg) > 0 && agg[len(agg)-1].U == e.U && agg[len(agg)-1].V == e.V {
-			prev := &agg[len(agg)-1]
-			if prev.Weight > math.MaxInt64-e.Weight {
-				return nil, fmt.Errorf("graph: aggregated weight of edge (%d,%d) overflows int64", e.U, e.V)
-			}
-			prev.Weight += e.Weight
+			agg[len(agg)-1].Weight += e.Weight
 		} else {
 			agg = append(agg, e)
 		}
 	}
-	// Counting pass.
-	xadj := make([]int, n+1)
-	for _, e := range agg {
-		xadj[e.U+1]++
-		xadj[e.V+1]++
-	}
-	for i := 1; i <= n; i++ {
-		xadj[i] += xadj[i-1]
-	}
-	adj := make([]int32, xadj[n])
-	wgt := make([]int64, xadj[n])
-	next := make([]int, n)
-	copy(next, xadj[:n])
-	for _, e := range agg {
-		adj[next[e.U]], wgt[next[e.U]] = e.V, e.Weight
-		next[e.U]++
-		adj[next[e.V]], wgt[next[e.V]] = e.U, e.Weight
-		next[e.V]++
-	}
-	deg := make([]int64, n)
-	for v := 0; v < n; v++ {
-		var d int64
-		for i := xadj[v]; i < xadj[v+1]; i++ {
-			if d > math.MaxInt64-wgt[i] {
-				return nil, fmt.Errorf("graph: weighted degree of vertex %d overflows int64", v)
-			}
-			d += wgt[i]
-		}
-		deg[v] = d
-	}
-	return &Graph{xadj: xadj, adj: adj, wgt: wgt, deg: deg}, nil
+	return fromSortedEdges(n, agg), nil
 }
+
+// errTotalOverflow rejects a graph whose edge weights sum past
+// math.MaxInt64.
+var errTotalOverflow = errors.New("graph: total edge weight overflows int64")
 
 // MustFromEdges is FromEdges that panics on error.
 func MustFromEdges(n int, edges []Edge) *Graph {

@@ -3,6 +3,7 @@ package mincut
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -335,6 +336,46 @@ func TestApplyMissingEdgeSameErrorColdAndWarm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestApplyRejectsTotalWeightOverflow: inserts that push the total edge
+// weight past math.MaxInt64 fail, cold or warm, and leave the receiver
+// untouched. Every degree of the resulting path 0–1–2–3 (weights 2⁶³−2,
+// 1, 2⁶³−2) would fit in int64, but its cut {1,2} would not: before the
+// total was checked, Apply succeeded and MinCut returned λ = −4.
+func TestApplyRejectsTotalWeightOverflow(t *testing.T) {
+	ctx := context.Background()
+	path, err := FromEdges(4, []Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}, {U: 2, V: 3, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Mutation{InsertEdge(0, 1, math.MaxInt64-2), InsertEdge(2, 3, math.MaxInt64-2)}
+	for _, warm := range []bool{false, true} {
+		s := NewSnapshot(path, SnapshotOptions{})
+		if warm {
+			if _, err := s.AllMinCuts(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.MinCut(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ns, r, err := s.Apply(ctx, batch)
+		if err == nil || ns != nil || r != (Reused{}) {
+			t.Fatalf("warm=%v: Apply = (%v, %+v, %v), want an overflow error", warm, ns, r, err)
+		}
+		if s.Epoch() != 0 || s.Graph() != path || s.Stats().TotalWeight != 3 {
+			t.Fatalf("warm=%v: receiver changed: epoch %d, total weight %d", warm, s.Epoch(), s.Stats().TotalWeight)
+		}
+		cut, err := s.MinCut(ctx)
+		if err != nil || cut.Value != 1 {
+			t.Fatalf("warm=%v: MinCut after the rejected batch: λ=%d err=%v", warm, cut.Value, err)
+		}
+		all, err := s.AllMinCuts(ctx)
+		if err != nil || all.Lambda != 1 || all.Count != 3 {
+			t.Fatalf("warm=%v: AllMinCuts after the rejected batch: %+v err=%v", warm, all, err)
+		}
 	}
 }
 
