@@ -36,13 +36,17 @@ const (
 	// (Algorithm 2): parallel CAPFOREST + parallel contraction, with the
 	// VieCut bound computed on the graph that the first round leaves
 	// rather than on the whole input, where it mostly confirms the
-	// minimum degree at a cost that grows with the input. The default.
+	// minimum degree at a cost that grows with the input. A series
+	// reduction folds chains of degree-2 vertices before every round, so
+	// cycles and paths cost no round. The default.
 	AlgoParallel Algorithm = iota
 	// AlgoNOI is the engineered sequential solver NOIλ̂: bounded priority
-	// queues, optionally seeded with a VieCut bound (§3.1).
+	// queues, optionally seeded with a VieCut bound (§3.1), with the same
+	// series reduction of degree-2 chains as AlgoParallel.
 	AlgoNOI
 	// AlgoNOIUnbounded is the reference NOI-HNSS implementation: binary
-	// heap, no priority bounding.
+	// heap, no priority bounding, and the same series reduction as
+	// AlgoNOI, so it differs from AlgoNOI only in the priority queue.
 	AlgoNOIUnbounded
 	// AlgoHaoOrlin is the flow-based exact algorithm of Hao and Orlin.
 	AlgoHaoOrlin

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/verify"
 )
 
@@ -74,4 +75,71 @@ func TestExactSolversMatchOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// Chains: the series reduction folds them in ParCut and NOI, and the
+	// cut between a chain's two lightest edges is often the minimum.
+	instances := 600
+	if testing.Short() {
+		instances = 150
+	}
+	for seed := uint64(1); seed <= uint64(instances); seed++ {
+		g := chainGraph(gen.NewRNG(seed * 7919))
+		want, _ := verify.BruteForceMinCut(g)
+		for _, algo := range []Algorithm{AlgoParallel, AlgoNOI, AlgoNOIUnbounded} {
+			for _, workers := range []int{1, 2, 4} {
+				cut := Solve(g, Options{Algorithm: algo, Workers: workers, Seed: seed})
+				if cut.Value != want {
+					t.Fatalf("chains seed %d (%v): %s at %d workers = %d, oracle %d",
+						seed, g.Edges(), algo, workers, cut.Value, want)
+				}
+				if got := CutValue(g, cut.Side); got != want {
+					t.Fatalf("chains seed %d (%v): %s at %d workers: witness evaluates to %d, want %d",
+						seed, g.Edges(), algo, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// chainGraph draws a connected weighted graph on at most 15 vertices
+// whose edges are subdivided into chains of 0–3 inner vertices: a random
+// tree plus a few extra chains over 2–6 hubs, so that parallel chains
+// form theta graphs and a chain from a hub to itself hangs a cycle off
+// it. One draw in eight is instead a plain weighted cycle or path.
+func chainGraph(rng *gen.RNG) *Graph {
+	const maxN = 15
+	weight := func() int64 { return 1 + rng.Int63n(6) }
+	var edges []Edge
+	if rng.Intn(8) == 0 {
+		n := 3 + rng.Intn(maxN-2)
+		for v := 1; v < n; v++ {
+			edges = append(edges, Edge{U: int32(v - 1), V: int32(v), Weight: weight()})
+		}
+		if rng.Intn(2) == 0 {
+			edges = append(edges, Edge{U: int32(n - 1), V: 0, Weight: weight()})
+		}
+		return graph.MustFromEdges(n, edges)
+	}
+	hubs := 2 + rng.Intn(5)
+	n := hubs
+	chain := func(a, b int32) {
+		k := min(rng.Intn(4), maxN-n)
+		if a == b && k < 2 {
+			return
+		}
+		prev := a
+		for i := 0; i < k; i++ {
+			edges = append(edges, Edge{U: prev, V: int32(n), Weight: weight()})
+			prev = int32(n)
+			n++
+		}
+		edges = append(edges, Edge{U: prev, V: b, Weight: weight()})
+	}
+	for v := 1; v < hubs; v++ {
+		chain(int32(rng.Intn(v)), int32(v))
+	}
+	for i := rng.Intn(hubs + 2); i > 0; i-- {
+		chain(int32(rng.Intn(hubs)), int32(rng.Intn(hubs)))
+	}
+	return graph.MustFromEdges(n, edges)
 }

@@ -76,6 +76,11 @@
 //     default);
 //   - the sequential Nagamochi–Ono–Ibaraki variants NOI-HNSS and NOIλ̂
 //     with BStack/BQueue/Heap priority queues (AlgoNOI, AlgoNOIUnbounded);
+//   - in both, a series reduction before every round: each maximal chain
+//     of degree-2 vertices folds into its lightest edge, and the sum of
+//     its two lightest edges is a candidate cut, so a cycle left after
+//     contraction costs no CAPFOREST round, where a scan at λ̂ = 2 would
+//     certify about one cycle edge per round;
 //   - exact baselines: Hao–Orlin (AlgoHaoOrlin), Stoer–Wagner
 //     (AlgoStoerWagner), Karger–Stein (AlgoKargerStein);
 //   - the inexact VieCut algorithm (AlgoVieCut) and Matula's

@@ -123,18 +123,34 @@ func declaredMTXDim(data []byte) int {
 	return 0
 }
 
+// FuzzMinCut is differential: ParCut, NOI and Stoer–Wagner must agree on
+// every input, with the brute-force oracle as well when 2 ≤ n ≤ 12, and
+// every witness must re-evaluate to the reported value.
 func FuzzMinCut(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 2, 0, 1, 2, 2, 0, 2, 3, 2, 0, 3, 4, 2, 0, 4, 5, 2, 0, 5, 0, 2, 0})
 	f.Add([]byte{3, 0, 1, 1, 0})
 	f.Add([]byte{12, 0, 1, 1, 0, 1, 2, 1, 0, 3, 4, 5, 0})
+	// A weighted path.
+	f.Add([]byte{6, 0, 1, 3, 0, 1, 2, 1, 0, 2, 3, 4, 0, 3, 4, 1, 0, 4, 5, 5, 0})
+	// A weighted cycle whose three lightest edges tie.
+	f.Add([]byte{7, 0, 1, 3, 0, 1, 2, 1, 0, 2, 3, 4, 0, 3, 4, 1, 0, 4, 5, 5, 0, 5, 6, 1, 0, 6, 0, 2, 0})
+	// A theta graph: three weighted chains between hubs 0 and 1.
+	f.Add([]byte{8, 0, 2, 2, 0, 2, 3, 5, 0, 3, 1, 3, 0, 0, 4, 4, 0, 4, 1, 4, 0,
+		0, 5, 6, 0, 5, 6, 1, 0, 6, 7, 7, 0, 7, 1, 2, 0})
+	// A weighted cycle hanging off a K4.
+	f.Add([]byte{7, 0, 1, 3, 0, 0, 2, 3, 0, 0, 3, 3, 0, 1, 2, 3, 0, 1, 3, 3, 0, 2, 3, 3, 0,
+		0, 4, 2, 0, 4, 5, 5, 0, 5, 6, 1, 0, 6, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, edges := decodeEdges(data)
 		g, err := FromEdges(n, edges)
 		if err != nil {
 			return
 		}
-		for _, algo := range []Algorithm{AlgoParallel, AlgoNOI, AlgoStoerWagner} {
+		algos := []Algorithm{AlgoParallel, AlgoNOI, AlgoStoerWagner}
+		values := make([]int64, len(algos))
+		for i, algo := range algos {
 			cut := Solve(g, Options{Algorithm: algo, Seed: 1}) // must never panic
+			values[i] = cut.Value
 			if n < 2 {
 				continue
 			}
@@ -145,6 +161,14 @@ func FuzzMinCut(f *testing.F) {
 				if got := verify.CutValue(g, cut.Side); got != cut.Value {
 					t.Fatalf("%s: reported %d but witness re-evaluates to %d", algo, cut.Value, got)
 				}
+			}
+		}
+		if values[0] != values[1] || values[1] != values[2] {
+			t.Fatalf("ParCut=%d NOI=%d StoerWagner=%d", values[0], values[1], values[2])
+		}
+		if n >= 2 && n <= 12 {
+			if want, _ := verify.BruteForceMinCut(g); values[0] != want {
+				t.Fatalf("solvers agree on %d, brute-force oracle %d", values[0], want)
 			}
 		}
 		// The all-cuts subsystem shares the no-panic guarantee. Hitting

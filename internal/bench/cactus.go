@@ -29,10 +29,13 @@ type CactusMeasurement struct {
 	Cuts    int     `json:"cuts"`
 	Kernel  int     `json:"kernel_vertices"`
 	Millis  float64 `json:"ms"`
-	// EnumerateMillis and AssembleMillis split Millis into the cut
-	// enumeration and the post-enumeration assembly (canonical sort,
-	// cactus construction, lift); λ solve and kernelization make up the
-	// remainder.
+	// LambdaMillis, KernelizeMillis, EnumerateMillis and AssembleMillis
+	// split Millis into the pipeline's phases (cactus.PhaseTimings): the
+	// λ solve, the all-cuts kernelization, the cut enumeration and the
+	// post-enumeration assembly (canonical sort, cactus construction,
+	// lift).
+	LambdaMillis    float64 `json:"lambda_ms"`
+	KernelizeMillis float64 `json:"kernelize_ms"`
 	EnumerateMillis float64 `json:"enumerate_ms"`
 	AssembleMillis  float64 `json:"assemble_ms"`
 }
@@ -67,6 +70,9 @@ func cactusInstances(s Scale) []cactusInstance {
 		// Many cycles sharing a node: one small crossing class per cycle.
 		{name: fmt.Sprintf("starofcycles_8_%d", unit/8), g: gen.StarOfCycles(8, unit/8)},
 		{name: fmt.Sprintf("starofcycles_16_%d", unit/2), g: gen.StarOfCycles(16, unit/2)},
+		// perfbench allcuts' shape: the λ solve contracts the cliques and
+		// folds the ring they leave; the kernel is the ring.
+		{name: fmt.Sprintf("ringcliques_%d_16", 4*unit), g: gen.RingOfCliques(4*unit, 16)},
 	}
 }
 
@@ -79,7 +85,7 @@ func cactusInstances(s Scale) []cactusInstance {
 // ring).
 func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 	header(w, "cactus: all minimum cuts (KT)")
-	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "enum_ms", "asm_ms", "ms")
+	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "lambda_ms", "kern_ms", "enum_ms", "asm_ms", "ms")
 	workerCounts := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workerCounts = append(workerCounts, p)
@@ -123,12 +129,14 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 				Cuts:            res.Count,
 				Kernel:          res.KernelVertices,
 				Millis:          float64(best.Microseconds()) / 1000,
+				LambdaMillis:    float64(res.Phases.Lambda.Microseconds()) / 1000,
+				KernelizeMillis: float64(res.Phases.Kernelize.Microseconds()) / 1000,
 				EnumerateMillis: float64(res.Phases.Enumerate.Microseconds()) / 1000,
 				AssembleMillis:  float64(res.Phases.Assemble.Microseconds()) / 1000,
 			}
 			out = append(out, m)
 			row(w, m.Instance, m.N, m.M, m.Workers, m.Lambda, m.Cuts, m.Kernel,
-				m.EnumerateMillis, m.AssembleMillis, m.Millis)
+				m.LambdaMillis, m.KernelizeMillis, m.EnumerateMillis, m.AssembleMillis, m.Millis)
 		}
 	}
 	return out

@@ -229,9 +229,12 @@ type ParCutMeasurement struct {
 
 // Ablation quantifies the paper's §4.2 mechanism claims: priority-queue
 // traffic saved by the λ̂ bound, and the geometric-mean speedups of the
-// engineered variants over NOI-HNSS. Its last table times ParCutλ̂-BQueue
-// with and without VieCut on the k-core and scaling instances at one and
-// at GOMAXPROCS workers; those rows are returned for WriteJSON.
+// engineered variants over NOI-HNSS. Every NOI variant, NOI-HNSS
+// included, runs the same series reduction of degree-2 chains, so the
+// speedups measure only the priority queues and the VieCut bound. Its
+// last table times ParCutλ̂-BQueue with and without VieCut on the k-core
+// and scaling instances at one and at GOMAXPROCS workers; those rows are
+// returned for WriteJSON.
 func Ablation(w io.Writer, s Scale) []ParCutMeasurement {
 	header(w, "Ablation: bounded priority queues and the VieCut bound (§4.2)")
 	instances := CoreInstances(s)

@@ -22,6 +22,18 @@
 // contracts only edges certified at or above the running λ̂, so every cut
 // below it survives contraction and every cut of the contracted graph
 // lifts to an input cut of the same value: the result stays exact.
+//
+// CAPFOREST at λ̂ = 2 certifies about one edge of a cycle per round, so a
+// cycle left after contraction would cost one round per vertex. The
+// solver therefore runs the series reduction (graph.ReduceSeries, whose
+// SeriesMapping doc comment proves it exact) before round 1 and after
+// every contraction: every maximal chain of degree-2 vertices folds into
+// its lightest edge, and the sum of its two lightest edges is a candidate
+// cut. The fold is contracted at once when it leaves at most two
+// vertices, which solves a cycle or a path without a round; otherwise the
+// next round contracts it together with the edges its scan certifies, so
+// that each round contracts once, and round 1's VieCut runs on the graph
+// before that fold. A ring of 512 16-cliques takes at most two rounds.
 package core
 
 import (
@@ -67,10 +79,13 @@ type Result struct {
 	// vertices).
 	Side []bool
 	// VieCutValue is the value of VieCut's cut of the graph round 1
-	// left. It is 0 when VieCut is disabled, and when round 1 left at
-	// most two vertices, so that VieCut did not run.
+	// left. It is 0 when VieCut is disabled, and when round 1 and the
+	// series reduction left at most two vertices, so that VieCut did not
+	// run.
 	VieCutValue int64
-	// Rounds is the number of parallel CAPFOREST + contraction rounds.
+	// Rounds is the number of parallel CAPFOREST + contraction rounds. It
+	// is 0 when the series reduction alone solves the graph, as on a
+	// cycle or a path.
 	Rounds int
 	// SeqFallbacks counts rounds where the parallel scan marked no edge
 	// and the sequential CAPFOREST ran (Algorithm 2 line 5).
@@ -86,7 +101,7 @@ type Result struct {
 type PhaseTiming struct {
 	VieCut   time.Duration // VieCut bound on the graph round 1 left
 	Scan     time.Duration // parallel + fallback CAPFOREST rounds
-	Contract time.Duration // parallel contraction + relabeling
+	Contract time.Duration // parallel contraction + relabeling, series reduction included
 }
 
 // Total returns the sum of the tracked phases.
@@ -121,6 +136,10 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 	res.Side[mv] = true
 
 	cur := g
+	var fold graph.Mapping
+	reduceStart := time.Now()
+	cur, fold, res.Value, res.Side = cur.ReduceSeries(labels, workers, res.Value, res.Side)
+	res.Timing.Contract += time.Since(reduceStart)
 	seed := opts.Seed
 	for cur.NumVertices() > 2 {
 		if err := ctx.Err(); err != nil {
@@ -152,11 +171,13 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 			res.Value = par.Bound
 			res.Side = bestWorkerWitness(par, labels, nc)
 		}
+		fold.UnionBlocks(u.Union)
 		mapping, blocks := u.Mapping()
 
 		if blocks == nc {
-			// Algorithm 2 lines 4-6: no edge marked; run the sequential
-			// scan, which is guaranteed to find one on connected graphs.
+			// Algorithm 2 lines 4-6: no edge marked and no chain folded;
+			// run the sequential scan, which is guaranteed to find one on
+			// connected graphs.
 			res.SeqFallbacks++
 			d := dsu.New(nc)
 			cf := capforest.Run(cur, d, res.Value, capforest.Options{
@@ -199,6 +220,10 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 			res.Value = d
 			res.Side = graph.LiftBlock(labels, v)
 		}
+
+		contractStart = time.Now()
+		cur, fold, res.Value, res.Side = cur.ReduceSeries(labels, workers, res.Value, res.Side)
+		res.Timing.Contract += time.Since(contractStart)
 
 		// λ̂ ← min(λ̂, VieCut(G/round 1)): a cut of the contracted graph
 		// lifts to an input cut of the same value.

@@ -125,18 +125,38 @@ func TestAllQueueKindsAgree(t *testing.T) {
 	}
 }
 
+// VieCut must not change the value, and, as in TestVieCutPlacement, it
+// runs exactly when round 1 and the series reduction leave more than two
+// vertices, which is when a second round runs.
 func TestVieCutAblation(t *testing.T) {
-	g := gen.ConnectedGNM(400, 1600, 9)
-	with, _ := ParallelMinimumCut(context.Background(), g, Options{Workers: 4, Queue: pq.KindBQueue, Bounded: true})
-	without, _ := ParallelMinimumCut(context.Background(), g, Options{Workers: 4, Queue: pq.KindBQueue, Bounded: true, DisableVieCut: true})
-	if with.Value != without.Value {
-		t.Fatalf("VieCut ablation changed the value: %d vs %d", with.Value, without.Value)
-	}
-	if with.VieCutValue == 0 {
-		t.Error("VieCutValue should be recorded when enabled")
-	}
-	if without.VieCutValue != 0 {
-		t.Error("VieCutValue should be 0 when disabled")
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		wantRun bool // round 1 leaves more than two vertices at every seed
+	}{
+		// Has degree-2 vertices, so round 1 may finish the solve.
+		{"gnm_400_1600", gen.ConnectedGNM(400, 1600, 9), false},
+		// δ = 4 and no chains.
+		{"ba_400_4", gen.BarabasiAlbert(400, 4, 9), true},
+	} {
+		for seed := uint64(0); seed < 3; seed++ {
+			opts := Options{Workers: 4, Queue: pq.KindBQueue, Bounded: true, Seed: seed}
+			with, _ := ParallelMinimumCut(context.Background(), tc.g, opts)
+			opts.DisableVieCut = true
+			without, _ := ParallelMinimumCut(context.Background(), tc.g, opts)
+			if with.Value != without.Value {
+				t.Fatalf("%s seed %d: VieCut ablation changed the value: %d vs %d", tc.name, seed, with.Value, without.Value)
+			}
+			if ran := with.VieCutValue > 0; ran != (with.Rounds >= 2) {
+				t.Errorf("%s seed %d: VieCutValue=%d after %d rounds", tc.name, seed, with.VieCutValue, with.Rounds)
+			}
+			if tc.wantRun && with.VieCutValue == 0 {
+				t.Errorf("%s seed %d: VieCutValue should be recorded when enabled", tc.name, seed)
+			}
+			if without.VieCutValue != 0 {
+				t.Errorf("%s seed %d: VieCutValue should be 0 when disabled", tc.name, seed)
+			}
+		}
 	}
 }
 

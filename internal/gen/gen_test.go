@@ -63,6 +63,8 @@ func TestSimpleFamilies(t *testing.T) {
 		{"cliquechain", CliqueChain(3, 4), 12, 20},
 		// 3 arms of 4 private vertices: each arm cycle has 5 edges.
 		{"starofcycles", StarOfCycles(3, 4), 13, 15},
+		// 4 cliques of 5: 4·C(5,2) intra edges + 4 ring edges.
+		{"ringofcliques", RingOfCliques(4, 5), 20, 44},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

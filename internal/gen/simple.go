@@ -211,6 +211,28 @@ func CliqueChain(blocks, size int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// RingOfCliques joins k unit-weight cliques of s ≥ 4 vertices into a
+// ring by single edges: λ = 2, δ = s-1, and every minimum cut removes two
+// ring edges, k(k-1)/2 cuts in all (at s = 3 each triangle's middle
+// vertex would add a degree-2 cut of its own). Contracting the cliques
+// leaves a k-cycle, the shape the solvers' series reduction folds.
+func RingOfCliques(k, s int) *graph.Graph {
+	if k < 3 || s < 4 {
+		panic(fmt.Sprintf("gen: RingOfCliques(%d, %d) needs k ≥ 3 and s ≥ 4", k, s))
+	}
+	b := graph.NewBuilder(k * s)
+	for c := 0; c < k; c++ {
+		base := int32(c * s)
+		for i := int32(0); i < int32(s); i++ {
+			for j := i + 1; j < int32(s); j++ {
+				b.AddEdge(base+i, base+j, 1)
+			}
+		}
+		b.AddEdge(base+int32(s-1), int32((c+1)%k*s), 1)
+	}
+	return b.MustBuild()
+}
+
 // StarOfCycles returns `arms` unit-weight cycles all sharing vertex 0,
 // each with armLen ≥ 2 private vertices (so every cycle has armLen+1
 // edges). The minimum cut is 2; the cuts are the edge pairs within one

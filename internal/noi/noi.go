@@ -5,6 +5,15 @@
 // contracted vertices, and optionally a precomputed inexact bound
 // (VieCut). Priority-queue selection and bounding reproduce the paper's
 // NOI-HNSS and NOIλ̂ variants.
+//
+// Before every round, the series reduction (graph.ReduceSeries) folds
+// each maximal chain of degree-2 vertices into its lightest edge and
+// takes the sum of its two lightest edges as a candidate cut. A fold that
+// leaves at most two vertices is contracted at once; any other the round
+// contracts together with the edges its scan certifies. Without it a
+// cycle costs one round per vertex, because a scan at λ̂ = 2 certifies
+// about one cycle edge per round; with it a cycle or a path takes no
+// round. NOI-HNSS and VieCut's exact base case run the same code.
 package noi
 
 import (
@@ -45,7 +54,8 @@ type Result struct {
 	// may be nil if InitialBound was supplied without InitialSide and no
 	// better cut exists.
 	Side []bool
-	// Rounds is the number of CAPFOREST+contract iterations.
+	// Rounds is the number of CAPFOREST+contract iterations; 0 when the
+	// series reduction alone solves the graph.
 	Rounds int
 	// Fallbacks counts rounds rescued by a Stoer–Wagner phase (a CAPFOREST
 	// scan that marked no edge, which the theory precludes for connected
@@ -84,6 +94,8 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 
 	labels := graph.Identity(n) // original vertex -> current contracted vertex
 	cur := g
+	var fold graph.Mapping
+	cur, fold, res.Value, res.Side = cur.ReduceSeries(labels, 1, res.Value, res.Side)
 	seed := opts.Seed
 
 	for cur.NumVertices() > 2 {
@@ -100,10 +112,12 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 			res.Value = cf.Bound
 			res.Side = graph.LiftPrefix(labels, cur.NumVertices(), cf.Order[:cf.BestPrefixLen])
 		}
+		fold.UnionBlocks(u.Union)
 		mapping, blocks := u.Mapping()
 		if blocks == cur.NumVertices() {
-			// No contractible edge found; fall back to one provably safe
-			// Stoer–Wagner phase so the loop always shrinks the graph.
+			// No contractible edge found and no chain folded; fall back to
+			// one provably safe Stoer–Wagner phase so the loop always
+			// shrinks the graph.
 			res.Fallbacks++
 			phaseVal, last, merged := baseline.MAPhase(cur)
 			if phaseVal < res.Value {
@@ -126,6 +140,7 @@ func MinimumCut(g *graph.Graph, opts Options) Result {
 			res.Value = d
 			res.Side = graph.LiftBlock(labels, v)
 		}
+		cur, fold, res.Value, res.Side = cur.ReduceSeries(labels, 1, res.Value, res.Side)
 	}
 	return res
 }

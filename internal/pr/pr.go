@@ -11,7 +11,10 @@
 //	PR1: c(e) ≥ λ̂ — any cut separating u,v costs at least c(e).
 //	PR2: 2c(e) ≥ min(c(u), c(v)) — moving the lighter endpoint across any
 //	     separating cut with ≥2 vertices per side does not increase its
-//	     value, so some minimum cut keeps u,v together.
+//	     value, so some minimum cut keeps u,v together. The heavier edge
+//	     of a degree-2 vertex always passes; graph.SeriesMapping folds
+//	     whole chains of such vertices this way in one pass, and its doc
+//	     comment proves the fold exact.
 //	PR3: c(e) + Σ_{w∈N(u)∩N(v)} min(c(u,w), c(v,w)) ≥ λ̂ — a separating
 //	     cut additionally pays min(c(u,w), c(v,w)) per shared neighbor.
 //	PR4: some shared neighbor w has 2(c(e)+c(u,w)) ≥ c(u) and
