@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -188,5 +189,75 @@ func TestMutateWeightOverflow400NotLogged(t *testing.T) {
 	getJSON(t, srv, "/mincut", &mc)
 	if mc.Lambda != 2 || mc.Epoch != 0 {
 		t.Fatalf("after the rejected batch: lambda=%d epoch=%d, want 2/0", mc.Lambda, mc.Epoch)
+	}
+}
+
+// TestRestoreAfterTornTailKeepsLaterWrites: a daemon dies mid-append,
+// leaving a torn last line; the restored daemon acknowledges more
+// batches and is restarted again. The second restore must resume at the
+// latest acknowledged epoch with its λ, so the torn bytes must not hide
+// the records appended after them.
+func TestRestoreAfterTornTailKeepsLaterWrites(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "mutations.wal")
+	g := testGraph(t)
+	opts := mincut.SnapshotOptions{Solve: mincut.Options{Seed: 1}}
+	ctx := context.Background()
+
+	wal, err := persist.OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA := newServer(mincut.NewSnapshot(g, opts), 4, serverConfig{wal: wal})
+	for _, b := range []string{
+		`{"mutations":[{"op":"insert","u":2,"v":7,"weight":3}]}`,
+		`{"mutations":[{"op":"delete","u":0,"v":5}]}`,
+	} {
+		if code, _ := postMutate(t, srvA, b); code != http.StatusOK {
+			t.Fatalf("mutate %s: status %d", b, code)
+		}
+	}
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"epoch":3,"mutations":[{"op":"del`) // killed mid-append
+	f.Close()
+
+	snapB, err := restoreSnapshot(ctx, g, opts, walPath)
+	if err != nil || snapB.Epoch() != 2 {
+		t.Fatalf("first restore: epoch %d, err %v; want epoch 2", snapB.Epoch(), err)
+	}
+	walB, err := persist.OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvB := newServer(snapB, 4, serverConfig{wal: walB})
+	var lastEpoch uint64
+	for _, b := range []string{
+		`{"mutations":[{"op":"delete","u":1,"v":6}]}`,
+		`{"mutations":[{"op":"insert","u":3,"v":8,"weight":2}]}`,
+	} {
+		code, epoch := postMutate(t, srvB, b)
+		if code != http.StatusOK {
+			t.Fatalf("mutate %s after restore: status %d", b, code)
+		}
+		lastEpoch = epoch
+	}
+	var before struct {
+		Lambda int64 `json:"lambda"`
+	}
+	getJSON(t, srvB, "/mincut", &before)
+	walB.Close()
+
+	snapC, err := restoreSnapshot(ctx, g, opts, walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapC.Epoch() != lastEpoch || lastEpoch != 4 {
+		t.Fatalf("second restore: epoch %d, want %d (= 4)", snapC.Epoch(), lastEpoch)
+	}
+	cut, err := snapC.MinCut(ctx)
+	if err != nil || cut.Value != before.Lambda {
+		t.Fatalf("second restore: λ=%d (%v), want %d", cut.Value, err, before.Lambda)
 	}
 }

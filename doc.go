@@ -177,8 +177,9 @@
 // epoch is published, a checkpoint of the full graph is written every
 // -checkpoint-every epochs (atomic tmp+rename, then WAL truncation), and
 // -restore replays checkpoint plus WAL tail on boot — resuming at the
-// exact pre-crash epoch even after SIGKILL, tolerating a torn final WAL
-// record (internal/persist).
+// exact pre-crash epoch even after SIGKILL, cutting a torn final WAL
+// record off the log so that later appends stay replayable
+// (internal/persist).
 //
 // # Differential testing strategy
 //

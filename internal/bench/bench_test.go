@@ -194,6 +194,9 @@ func TestParCutVieCutTable(t *testing.T) {
 		if r.Lambda > r.Delta || r.Millis <= 0 {
 			t.Errorf("row %+v: lambda above delta or no time", r)
 		}
+		if r.Q1Millis > r.Millis || r.Millis > r.Q3Millis {
+			t.Errorf("row %+v: median outside its quartiles", r)
+		}
 	}
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {

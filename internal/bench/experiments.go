@@ -214,8 +214,9 @@ func Table1(w io.Writer, s Scale) {
 
 // ParCutMeasurement is one ParCutλ̂-BQueue timing of the VieCut ablation:
 // an instance, its minimum degree δ and minimum cut λ, the worker count,
-// and whether VieCut ran. The collected slice is the BENCH_parcut.json
-// baseline.
+// whether VieCut ran, and the median and quartiles of parCutSeeds
+// solves with consecutive seeds. The collected slice is the
+// BENCH_parcut.json baseline.
 type ParCutMeasurement struct {
 	Instance string  `json:"instance"`
 	N        int     `json:"n"`
@@ -225,7 +226,14 @@ type ParCutMeasurement struct {
 	Workers  int     `json:"workers"`
 	VieCut   bool    `json:"viecut"`
 	Millis   float64 `json:"ms"`
+	Q1Millis float64 `json:"q1_ms"`
+	Q3Millis float64 `json:"q3_ms"`
 }
+
+// parCutSeeds is the number of solves behind each ParCutMeasurement.
+// Five samples have exact quartiles: the second, third and fourth
+// smallest.
+const parCutSeeds = 5
 
 // Ablation quantifies the paper's §4.2 mechanism claims: priority-queue
 // traffic saved by the λ̂ bound, and the geometric-mean speedups of the
@@ -319,7 +327,8 @@ func Ablation(w io.Writer, s Scale) []ParCutMeasurement {
 
 // parCutVieCutTable times ParCutλ̂-BQueue with VieCut and with
 // DisableVieCut on the k-core and scaling instances, at one worker and at
-// GOMAXPROCS workers. It panics if the two arms disagree on λ.
+// GOMAXPROCS workers, each row over parCutSeeds seeds. It panics if two
+// solves of an instance disagree on λ.
 func parCutVieCutTable(w io.Writer, s Scale, cores []CoreInstance) []ParCutMeasurement {
 	instances := make([]Instance, 0, len(cores))
 	for _, c := range cores {
@@ -332,7 +341,7 @@ func parCutVieCutTable(w io.Writer, s Scale, cores []CoreInstance) []ParCutMeasu
 	}
 
 	fmt.Fprintln(w)
-	row(w, "instance", "n", "m", "delta", "lambda", "workers", "viecut", "ms")
+	row(w, "instance", "n", "m", "delta", "lambda", "workers", "viecut", "ms", "q1_ms", "q3_ms")
 	var out []ParCutMeasurement
 	for _, inst := range instances {
 		if s.Cancelled() {
@@ -343,20 +352,26 @@ func parCutVieCutTable(w io.Writer, s Scale, cores []CoreInstance) []ParCutMeasu
 		for _, workers := range workerCounts {
 			var lambda int64
 			for _, vieCut := range []bool{true, false} {
-				m := Time(inst.Name, inst.G, ParallelAlgo(pq.KindBQueue, workers, !vieCut), s.Reps, s.Seed)
-				if vieCut {
-					lambda = m.Value
-				} else if m.Value != lambda {
-					panic(fmt.Sprintf("bench: %s at %d workers: ParCut %d with VieCut, %d without",
-						inst.Name, workers, lambda, m.Value))
+				a := ParallelAlgo(pq.KindBQueue, workers, !vieCut)
+				ms := make([]float64, parCutSeeds)
+				for i := range ms {
+					m := Time(inst.Name, inst.G, a, 1, s.Seed+uint64(i))
+					ms[i] = float64(m.Elapsed.Microseconds()) / 1000
+					if vieCut && i == 0 {
+						lambda = m.Value
+					} else if m.Value != lambda {
+						panic(fmt.Sprintf("bench: %s at %d workers: ParCut λ=%d, then %d with viecut=%v and seed %d",
+							inst.Name, workers, lambda, m.Value, vieCut, s.Seed+uint64(i)))
+					}
 				}
+				sort.Float64s(ms)
 				r := ParCutMeasurement{
 					Instance: inst.Name, N: inst.G.NumVertices(), M: inst.G.NumEdges(),
-					Delta: delta, Lambda: m.Value, Workers: workers, VieCut: vieCut,
-					Millis: float64(m.Elapsed.Microseconds()) / 1000,
+					Delta: delta, Lambda: lambda, Workers: workers, VieCut: vieCut,
+					Millis: ms[2], Q1Millis: ms[1], Q3Millis: ms[3],
 				}
 				out = append(out, r)
-				row(w, r.Instance, r.N, r.M, r.Delta, r.Lambda, r.Workers, r.VieCut, r.Millis)
+				row(w, r.Instance, r.N, r.M, r.Delta, r.Lambda, r.Workers, r.VieCut, r.Millis, r.Q1Millis, r.Q3Millis)
 			}
 		}
 	}

@@ -61,7 +61,8 @@ func maxFlowEK(g *graph.Graph, s, t int32) (int64, []bool) {
 		}
 		total += bottleneck
 	}
-	return total, nw.reachableFrom(s)
+	side, _ := nw.reach(nil, nil, []int32{s}, 0)
+	return total, side
 }
 
 // minSTCut is MinSTCut for terminals a test knows to be valid.

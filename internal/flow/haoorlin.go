@@ -140,7 +140,7 @@ func HaoOrlin(g *graph.Graph) (int64, []bool) {
 		// rest. Record it if it improves the best cut so far. ---
 		if excess[t] < best {
 			best = excess[t]
-			bestSide = nw.reachableTo(t)
+			bestSide, _ = nw.reach(nil, nil, []int32{t}, 1)
 			for v := range bestSide {
 				bestSide[v] = !bestSide[v]
 			}

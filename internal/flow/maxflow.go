@@ -17,7 +17,8 @@ func MinSTCut(ctx context.Context, g *graph.Graph, s, t int32) (int64, []bool, e
 	if err != nil {
 		return 0, nil, err
 	}
-	return v, nw.reachableFrom(s), nil
+	side, _ := nw.reach(nil, nil, []int32{s}, 0)
+	return v, side, nil
 }
 
 // maxFlow builds the residual network of g and runs Dinic from s to t to

@@ -76,46 +76,35 @@ func (nw *network) push(a int32, f int64) {
 	nw.res[a^1] += f
 }
 
-// reachableTo returns the set of vertices that can reach t along residual
-// arcs (including t itself). Because residual capacity of arc a from u
-// means u can move flow toward head(a), "v can reach t" means there is a
-// residual path v→...→t. We search backwards: from t along arcs whose
-// *reverse* has residual capacity.
-func (nw *network) reachableTo(t int32) []bool {
-	seen := make([]bool, nw.n)
-	seen[t] = true
-	stack := []int32{t}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range nw.arcs(v) {
-			// Arc a is v→w; its reverse w→v has residual res[a^1].
-			w := nw.head[a]
-			if !seen[w] && nw.res[a^1] > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
+// reach marks in seen every vertex reachable from starts along residual
+// arcs and returns seen and stack for reuse: seen is allocated when nil
+// and cleared otherwise, stack is scratch. back = 0 follows arcs
+// forwards. back = 1 follows them backwards, marking the vertices that
+// can reach a start: arc a is v→w, and its reverse w→v has residual
+// res[a^1].
+func (nw *network) reach(seen []bool, stack, starts []int32, back int32) ([]bool, []int32) {
+	if seen == nil {
+		seen = make([]bool, nw.n)
+	} else {
+		clear(seen)
+	}
+	stack = stack[:0]
+	for _, s := range starts {
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, s)
 		}
 	}
-	return seen
-}
-
-// reachableFrom returns the set of vertices reachable from s along
-// residual arcs.
-func (nw *network) reachableFrom(s int32) []bool {
-	seen := make([]bool, nw.n)
-	seen[s] = true
-	stack := []int32{s}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, a := range nw.arcs(v) {
 			w := nw.head[a]
-			if !seen[w] && nw.res[a] > 0 {
+			if !seen[w] && nw.res[a^back] > 0 {
 				seen[w] = true
 				stack = append(stack, w)
 			}
 		}
 	}
-	return seen
+	return seen, stack
 }

@@ -157,69 +157,6 @@ func (p *Progressive) MaxFlowTo(ctx context.Context, t int32, cap int64) (int64,
 	return v, nil
 }
 
-// reachableFromSources marks every vertex residual-reachable from the
-// source set in the reused p.fromS buffer.
-func (p *Progressive) reachableFromSources() []bool {
-	nw := p.nw
-	if p.fromS == nil {
-		p.fromS = make([]bool, nw.n)
-	}
-	seen := p.fromS
-	for i := range seen {
-		seen[i] = false
-	}
-	stack := p.stack[:0]
-	for _, s := range p.sources {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range nw.arcs(v) {
-			w := nw.head[a]
-			if !seen[w] && nw.res[a] > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	p.stack = stack[:0]
-	return seen
-}
-
-// reachableToBuf marks every vertex that can reach t along residual arcs
-// in the reused p.toT buffer (the scratch-owning variant of
-// network.reachableTo).
-func (p *Progressive) reachableToBuf(t int32) []bool {
-	nw := p.nw
-	if p.toT == nil {
-		p.toT = make([]bool, nw.n)
-	}
-	seen := p.toT
-	for i := range seen {
-		seen[i] = false
-	}
-	seen[t] = true
-	stack := append(p.stack[:0], t)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range nw.arcs(v) {
-			// Arc a is v→w; its reverse w→v has residual res[a^1].
-			w := nw.head[a]
-			if !seen[w] && nw.res[a^1] > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	p.stack = stack[:0]
-	return seen
-}
-
 // ChainCuts lists every minimum source-set/t cut of the current residual
 // state as a nested chain, smallest t-side first. emit receives the
 // t-side (the side containing t, disjoint from the source set) as a
@@ -239,11 +176,13 @@ func (p *Progressive) reachableToBuf(t int32) []bool {
 func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) bool) (int, error) {
 	nw := p.nw
 	n := nw.n
-	fromS := p.reachableFromSources()
+	p.fromS, p.stack = nw.reach(p.fromS, p.stack, p.sources, 0)
+	fromS := p.fromS
 	if fromS[t] {
 		return 0, fmt.Errorf("flow: chain extraction with an augmenting path left (flow not maximum)")
 	}
-	toT := p.reachableToBuf(t)
+	p.toT, p.stack = nw.reach(p.toT, p.stack, []int32{t}, 1)
+	toT := p.toT
 
 	scc, nscc := residualSCC(nw)
 	state := make([]int8, nscc)

@@ -142,8 +142,8 @@ func (e *STEnum) prepare() {
 	e.scc, e.nscc = residualSCC(e.nw)
 
 	e.state = make([]int8, e.nscc)
-	fromS := e.nw.reachableFrom(e.s)
-	toT := e.nw.reachableTo(e.t)
+	fromS, stack := e.nw.reach(nil, nil, []int32{e.s}, 0)
+	toT, _ := e.nw.reach(nil, stack, []int32{e.t}, 1)
 	for v := 0; v < e.nw.n; v++ {
 		switch {
 		case fromS[v]:

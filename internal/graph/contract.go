@@ -168,8 +168,9 @@ func (g *Graph) contractScatter(m Mapping, workers int) *Graph {
 	uniq := make([]int, nc)
 	deg := make([]int64, nc)
 	parallelRanges(nc, workers, func(lo, hi int) {
+		seg := &adjSorter{}
 		for b := lo; b < hi; b++ {
-			seg := &adjSorter{sAdj[offs[b]:offs[b+1]], sWgt[offs[b]:offs[b+1]]}
+			seg.adj, seg.wgt = sAdj[offs[b]:offs[b+1]], sWgt[offs[b]:offs[b+1]]
 			sort.Sort(seg)
 			a, w := seg.adj, seg.wgt
 			k := 0
@@ -212,7 +213,12 @@ type atomicInt32Pad struct {
 }
 
 // parallelRanges runs fn over [0,n) split into worker chunks and waits.
+// One worker runs fn(0, n) on the calling goroutine.
 func parallelRanges(n, workers int, fn func(lo, hi int)) {
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {

@@ -4,7 +4,8 @@
 // The WAL is a JSON-lines file, one Record per applied batch, fsync'd
 // before the new epoch is published — after a crash (SIGKILL included)
 // every acknowledged mutation is on disk. Replay tolerates a torn final
-// line (a crash mid-append) by stopping there; anything before the tear
+// line (a crash mid-append) by stopping there and cutting it off the
+// file, so later appends start a fresh line; anything before the tear
 // is intact because appends are a single write+fsync.
 //
 // A checkpoint is the full edge list of the graph at some epoch,
@@ -16,6 +17,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,11 +100,14 @@ func (w *WAL) Close() error {
 func (w *WAL) Path() string { return w.path }
 
 // ReplayWAL streams the records of the log at path in order. A missing
-// file replays zero records. A torn or corrupt line stops the replay at
-// the last intact record (the torn suffix is what a crash mid-append
-// leaves behind); a gap in the epoch sequence is reported as an error —
-// that is not crash damage but a manipulated or mismatched log.
-// fn errors abort the replay.
+// file replays zero records. A corrupt line stops the replay at the last
+// intact record; a gap in the epoch sequence is reported as an error —
+// that is not crash damage but a manipulated or mismatched log. A final
+// line without its newline is what a crash mid-append leaves behind:
+// Append acknowledges a record only after its whole line is on disk, so
+// the torn bytes are not replayed, and they are cut off the file, since
+// a record appended after them would land on their line, where no
+// replay reaches it. fn errors abort the replay.
 func ReplayWAL(path string, fn func(Record) error) (replayed int, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -115,17 +120,23 @@ func ReplayWAL(path string, fn func(Record) error) (replayed int, err error) {
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Split(scanTerminatedLines)
 	var prev uint64
+	var intact int64 // bytes up to the end of the last complete line
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(line) == 0 {
+		if line[len(line)-1] != '\n' {
+			// Torn tail from a crash mid-append: everything before it is
+			// intact; cut it off and stop here.
+			return replayed, truncateSync(path, intact)
+		}
+		intact += int64(len(line))
+		if len(line) == 1 {
 			continue
 		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail from a crash mid-append: everything before it is
-			// intact, stop here.
-			return replayed, nil
+			return replayed, nil // corrupt line: stop at the last intact record
 		}
 		if replayed > 0 && rec.Epoch != prev+1 {
 			return replayed, fmt.Errorf("persist: WAL %s: epoch %d follows %d, want %d", path, rec.Epoch, prev, prev+1)
@@ -136,10 +147,32 @@ func ReplayWAL(path string, fn func(Record) error) (replayed int, err error) {
 		prev = rec.Epoch
 		replayed++
 	}
-	if err := sc.Err(); err != nil {
-		return replayed, err
+	return replayed, sc.Err()
+}
+
+// scanTerminatedLines is bufio.ScanLines keeping each line's newline, so
+// an unterminated final line is told apart from a complete one.
+func scanTerminatedLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
 	}
-	return replayed, nil
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// truncateSync cuts the file at path to size bytes, durably.
+func truncateSync(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Edge is one undirected weighted edge of a checkpointed graph.

@@ -161,3 +161,55 @@ func TestCheckpointRoundTripAndAtomicity(t *testing.T) {
 		t.Fatalf("corrupt checkpoint: ok=%v err=%v, want error", ok, err)
 	}
 }
+
+// TestWALAppendAfterTornTail is a restart after a crash mid-append:
+// replay the log, then append acknowledged records. The next replay must
+// see them, not stop again at the old tear, which the first replay cut
+// off. A complete record that lacks its newline is torn too: Append
+// acknowledges a record only once its whole line is on disk.
+func TestWALAppendAfterTornTail(t *testing.T) {
+	for name, torn := range map[string]string{
+		"mid-record":      `{"epoch":3,"mutations":[{"op":"ins`,
+		"missing newline": `{"epoch":3,"mutations":[]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.wal")
+			w, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for epoch := uint64(1); epoch <= 2; epoch++ {
+				if err := w.Append(Record{Epoch: epoch, Mutations: []Mutation{{Op: "insert", U: 0, V: 1, Weight: 1}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteString(torn)
+			f.Close()
+
+			if n, err := ReplayWAL(path, func(Record) error { return nil }); n != 2 || err != nil {
+				t.Fatalf("first replay: %d records (%v), want 2", n, err)
+			}
+			w, err = OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for epoch := uint64(3); epoch <= 5; epoch++ {
+				if err := w.Append(Record{Epoch: epoch, Mutations: []Mutation{{Op: "delete", U: 0, V: 1}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+
+			var epochs []uint64
+			n, err := ReplayWAL(path, func(r Record) error { epochs = append(epochs, r.Epoch); return nil })
+			if err != nil || n != 5 || epochs[4] != 5 {
+				t.Fatalf("replay after appends: %d records %v (%v), want epochs 1..5", n, epochs, err)
+			}
+		})
+	}
+}

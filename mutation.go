@@ -109,7 +109,10 @@ type Reused struct {
 	// CertifyCalls counts the CAPFOREST connectivity-certification probes
 	// run by the deletion rule.
 	CertifyCalls int `json:"certify_calls"`
-	// Rebuilds counts the CSR rebuilds performed (mutations are batched
-	// into one rebuild once no certificate is left to protect).
+	// Rebuilds counts the CSR rebuilds performed. Mutations are batched:
+	// the CSR is rebuilt before each certification probe, before a delete
+	// that follows a queued insert, and once at the end, so a batch costs
+	// at most CertifyCalls+1 rebuilds plus one per insert run that a
+	// delete follows.
 	Rebuilds int `json:"rebuilds"`
 }

@@ -227,12 +227,15 @@ func (s *Snapshot) CactusCached() (*AllCuts, bool) { return s.cuts.peek() }
 // deletion; an insertion may reconnect components, so everything is
 // dropped.
 //
-// Certificates are consulted against each intermediate graph, so while
-// any survive, mutations rebuild the CSR one at a time; once all are
-// dropped the remaining mutations are coalesced into batched rebuilds.
-// On ctx cancellation (checked per mutation and inside certification
-// probes) no new snapshot is produced and the receiver's caches are
-// untouched.
+// Every rule judges a mutation against the graph at its position in the
+// batch, but only the certification probe reads that graph's CSR, so
+// mutations are queued in one pending delta and the CSR is rebuilt only
+// before a probe, before a delete that follows a queued insert, and
+// once at the end (Reused.Rebuilds counts them). A rebuild error, such
+// as a total edge weight past int64, names the range of mutations that
+// rebuild covered. On ctx cancellation (checked per mutation and inside
+// certification probes) no new snapshot is produced and the receiver's
+// caches are untouched.
 func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reused, error) {
 	var r Reused
 
@@ -264,22 +267,29 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 	cur := s.g
 	certSeed := s.opts.Solve.Seed
 
-	// Batching state for the dead-certificate fast path: ApplyDelta
-	// applies deletes before inserts, so a maximal deletes-then-inserts
-	// run coalesces into one rebuild. Queued deletes are checked against
-	// cur minus the deletes already queued (pendSet, normalized pairs).
+	// Every mutation joins one pending delta. graph.ApplyDelta deletes
+	// before it inserts, so the delta is a run of deletes followed by a
+	// run of inserts, and the CSR is rebuilt only when something must
+	// read the graph as of a mutation: a certification probe, a delete
+	// that follows a queued insert, and the end of the batch. The rules
+	// need nothing else: insert rules read only the cached cut and
+	// cactus, and a delete reads cur only with no insert queued, when
+	// cur minus the queued deletes (pendSet, normalized pairs) is the
+	// graph at its position. pendFrom is the first mutation the pending
+	// delta covers, so a rebuild error names the range it came from.
 	var pendIns []Edge
 	var pendDel [][2]int32
 	pendSet := make(map[[2]int32]bool)
-	flush := func() error {
+	pendFrom := 0
+	flush := func(end int) error {
 		if len(pendIns) == 0 && len(pendDel) == 0 {
 			return nil
 		}
 		g, err := graph.ApplyDelta(cur, pendIns, pendDel)
 		if err != nil {
-			return err
+			return fmt.Errorf("mincut: mutations %d..%d: %w", pendFrom, end-1, err)
 		}
-		cur, pendIns, pendDel = g, pendIns[:0], pendDel[:0]
+		cur, pendIns, pendDel, pendFrom = g, pendIns[:0], pendDel[:0], end
 		clear(pendSet)
 		r.Rebuilds++
 		return nil
@@ -293,50 +303,43 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 			continue // self-loop insert: FromEdges semantics, a no-op
 		}
 
-		if !lamOK {
-			// Nothing left to protect: accumulate for batched rebuilds.
-			if m.Op == MutDelete {
-				if len(pendIns) > 0 {
-					if err := flush(); err != nil {
-						return nil, Reused{}, fmt.Errorf("mincut: mutation %d: %w", i, err)
-					}
-				}
-				key := [2]int32{min(m.U, m.V), max(m.U, m.V)}
-				if pendSet[key] || !cur.HasEdge(m.U, m.V) {
-					return nil, Reused{}, errMissingEdge(i, m)
-				}
-				pendSet[key] = true
-				pendDel = append(pendDel, [2]int32{m.U, m.V})
-			} else {
-				pendIns = append(pendIns, Edge{U: m.U, V: m.V, Weight: m.Weight})
-			}
-			continue
-		}
-
 		switch m.Op {
 		case MutInsert:
-			if lam.Value == 0 {
+			switch {
+			case !lamOK:
+			case lam.Value == 0:
 				lamOK, cactOK = false, false // may reconnect components
-			} else if cactOK {
-				if !cact.Cactus.Crosses(m.U, m.V) {
-					// Same atom: full family preserved.
-				} else if side := nonSeparatingWitness(cact, m.U, m.V); side != nil {
+			case !cactOK:
+				lamOK = lam.Side[m.U] == lam.Side[m.V]
+			case !cact.Cactus.Crosses(m.U, m.V):
+				// Same atom: full family preserved.
+			default:
+				if side := firstMinCut(cact, func(s []bool) bool { return s[m.U] == s[m.V] }); side != nil {
 					lam = Cut{Value: lam.Value, Side: side, Exact: true, Algorithm: lam.Algorithm}
 					cactOK = false
 				} else {
 					lamOK, cactOK = false, false
 				}
-			} else if lam.Side[m.U] != lam.Side[m.V] {
-				lamOK = false
 			}
+			pendIns = append(pendIns, Edge{U: m.U, V: m.V, Weight: m.Weight})
+
 		case MutDelete:
-			w := cur.EdgeWeight(m.U, m.V)
+			if len(pendIns) > 0 {
+				if err := flush(i); err != nil {
+					return nil, Reused{}, err
+				}
+			}
+			key := [2]int32{min(m.U, m.V), max(m.U, m.V)}
+			var w int64
+			if !pendSet[key] {
+				w = cur.EdgeWeight(m.U, m.V)
+			}
 			if w == 0 {
 				return nil, Reused{}, errMissingEdge(i, m)
 			}
-			if lam.Value == 0 {
+			if lamOK && lam.Value == 0 {
 				cactOK = false // λ and the 0-weight witness survive; stats like Components do not
-			} else {
+			} else if lamOK {
 				crosses := lam.Side[m.U] != lam.Side[m.V]
 				if cactOK {
 					crosses = cact.Cactus.Crosses(m.U, m.V)
@@ -350,7 +353,7 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 					if side[m.U] == side[m.V] {
 						// crosses came from the cactus; pull a separating
 						// witness out of the cut family.
-						side = separatingWitness(cact, m.U, m.V)
+						side = firstMinCut(cact, func(s []bool) bool { return s[m.U] != s[m.V] })
 					}
 					if side != nil {
 						lam = Cut{Value: lam.Value - w, Side: side, Exact: true, Algorithm: lam.Algorithm}
@@ -360,6 +363,10 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 						lamOK, cactOK = false, false
 					}
 				} else {
+					// The probe reads the graph as of this mutation.
+					if err := flush(i); err != nil {
+						return nil, Reused{}, err
+					}
 					r.CertifyCalls++
 					certSeed += 1000003
 					certified, err := core.CertifyConnectivity(ctx, cur, m.U, m.V, lam.Value+w+1, s.opts.Solve.Workers, certSeed)
@@ -376,29 +383,11 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 					}
 				}
 			}
-		default:
-			return nil, Reused{}, fmt.Errorf("mincut: mutation %d has unknown op %d", i, int(m.Op))
+			pendSet[key] = true
+			pendDel = append(pendDel, [2]int32{m.U, m.V})
 		}
-		if !lamOK {
-			cactOK = false
-		}
-
-		// Certificates were judged against cur; advance it one mutation.
-		var ins []Edge
-		var del [][2]int32
-		if m.Op == MutInsert {
-			ins = []Edge{{U: m.U, V: m.V, Weight: m.Weight}}
-		} else {
-			del = [][2]int32{{m.U, m.V}}
-		}
-		g, err := graph.ApplyDelta(cur, ins, del)
-		if err != nil {
-			return nil, Reused{}, fmt.Errorf("mincut: mutation %d: %w", i, err)
-		}
-		cur = g
-		r.Rebuilds++
 	}
-	if err := flush(); err != nil {
+	if err := flush(len(batch)); err != nil {
 		return nil, Reused{}, err
 	}
 
@@ -421,39 +410,20 @@ func cutFromAllCuts(res *AllCuts) (Cut, bool) {
 	if res == nil || !res.Connected || res.Cactus == nil {
 		return Cut{}, false
 	}
-	var side []bool
-	res.Cactus.EachMinCut(func(s []bool) bool {
-		side = append([]bool(nil), s...)
-		return false
-	})
+	side := firstMinCut(res, func([]bool) bool { return true })
 	if side == nil {
 		return Cut{}, false
 	}
 	return Cut{Value: res.Lambda, Side: side, Exact: true, Algorithm: AlgoParallel}, true
 }
 
-// nonSeparatingWitness returns a copy of some cached minimum cut that
-// keeps u and v on the same side, or nil if every cached cut separates
-// them.
-func nonSeparatingWitness(res *AllCuts, u, v int32) []bool {
+// firstMinCut returns a copy of the first minimum cut of res, in
+// Cactus.EachMinCut order, whose side satisfies keep, or nil if none
+// does.
+func firstMinCut(res *AllCuts, keep func(side []bool) bool) []bool {
 	var out []bool
 	res.Cactus.EachMinCut(func(side []bool) bool {
-		if side[u] == side[v] {
-			out = append([]bool(nil), side...)
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// separatingWitness returns a copy of some cached minimum cut that puts
-// u and v on opposite sides, or nil if no cached cut separates them.
-// When Cactus.Crosses(u, v) holds, one always exists.
-func separatingWitness(res *AllCuts, u, v int32) []bool {
-	var out []bool
-	res.Cactus.EachMinCut(func(side []bool) bool {
-		if side[u] != side[v] {
+		if keep(side) {
 			out = append([]bool(nil), side...)
 			return false
 		}
