@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	bench -experiment fig2|fig3|fig4|fig5|table1|ablation|cactus|solve|service|all
+//	bench -experiment fig2|fig3|fig4|fig5|table1|ablation|cactus|all
 //	      [-scale small|medium|large] [-json file] [-instance substr]
 //	      [-cpuprofile file] [-memprofile file]
 //
@@ -15,13 +15,7 @@
 // The cactus experiment times the all-minimum-cuts pipeline at one and
 // at GOMAXPROCS workers and, with -json, writes the BENCH_cactus.json
 // baseline; -instance restricts it to instances whose name contains the
-// given substring (the CI smoke runs one small ring). The solve experiment
-// times the solver set on the real-instance corpus of internal/datasets
-// and, with -json, writes the BENCH_solve.json baseline; external
-// instances are skipped unless $REPRO_DATASETS provides them. The
-// service experiment measures the Snapshot cache and mutation layer
-// (cmd/mincutd's serving path) and, with -json, writes the
-// BENCH_service.json baseline.
+// given substring (the CI smoke runs one small ring).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, so a
 // perf investigation starts from the committed benchmark definitions
@@ -52,9 +46,9 @@ func main() {
 // stopping the CPU profile and writing the heap profile — execute on
 // every exit path (os.Exit skips defers).
 func run() int {
-	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, table1, ablation, cactus, solve, service, or all")
+	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, table1, ablation, cactus, or all")
 	scale := flag.String("scale", "small", "small, medium, or large")
-	jsonPath := flag.String("json", "", "with -experiment ablation, cactus, solve, or service: also write the measurements as a JSON baseline")
+	jsonPath := flag.String("json", "", "with -experiment ablation or cactus: also write the measurements as a JSON baseline")
 	instance := flag.String("instance", "", "with -experiment cactus: only run instances whose name contains this substring")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
@@ -142,16 +136,6 @@ func run() int {
 		if *jsonPath != "" {
 			writeJSON(bench.WriteJSON(*jsonPath, cms))
 		}
-	case "solve":
-		sms := bench.SolveBench(w, s)
-		if *jsonPath != "" {
-			writeJSON(bench.WriteJSON(*jsonPath, sms))
-		}
-	case "service":
-		sms := bench.ServiceBench(w, s)
-		if *jsonPath != "" {
-			writeJSON(bench.WriteJSON(*jsonPath, sms))
-		}
 	case "all":
 		ms := bench.Fig2(w, s)
 		ms = append(ms, bench.Fig3(w, s)...)
@@ -160,8 +144,6 @@ func run() int {
 		bench.Ablation(w, s)
 		bench.Fig5(w, s)
 		bench.CactusBench(w, s, *instance)
-		bench.SolveBench(w, s)
-		bench.ServiceBench(w, s)
 	default:
 		fmt.Fprintf(os.Stderr, "bench: unknown experiment %q\n", *experiment)
 		return 2

@@ -5,7 +5,7 @@
 //
 //	mincutd [-listen :8080] [-format auto|metis|edgelist|matrixmarket]
 //	        [-workers N] [-queue N] [-solve-workers N] [-seed S]
-//	        [-wal file] [-restore] [-checkpoint-every N]
+//	        [-wal file] [-checkpoint-every N]
 //	        [-max-mutate-bytes N] [-pprof addr] graphfile
 //
 // With -pprof, the net/http/pprof profiling endpoints are served on a
@@ -49,10 +49,11 @@
 // With -wal, every applied mutation batch is appended to a JSON-lines
 // write-ahead log and fsync'd before the new epoch is published, and
 // every -checkpoint-every batches the full graph is checkpointed
-// (atomic tmp+rename to <wal>.ckpt) and the log truncated. With
-// -restore the daemon boots warm: checkpoint first, then WAL replay,
-// resuming at the exact pre-crash epoch — SIGKILL loses nothing that
-// was acknowledged. Certificates are re-derived lazily on first query.
+// (atomic tmp+rename to <wal>.ckpt) and the log truncated. Every boot
+// with -wal restores from those files: checkpoint first, then WAL
+// replay, resuming at the exact pre-crash epoch — SIGKILL loses nothing
+// that was acknowledged, and a missing log and checkpoint start at
+// epoch 0. Certificates are re-derived lazily on first query.
 //
 // # Error contract
 //
@@ -100,8 +101,7 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4×workers); beyond it requests get 429")
 	solveWorkers := flag.Int("solve-workers", 0, "parallel workers per solve and per all-cuts enumeration (0 = all cores)")
 	seed := flag.Uint64("seed", 1, "random seed for the solvers")
-	walPath := flag.String("wal", "", "write-ahead log file for /mutate batches (fsync'd per batch)")
-	restore := flag.Bool("restore", false, "replay the -wal checkpoint+log at boot and resume at the logged epoch")
+	walPath := flag.String("wal", "", "write-ahead log file for /mutate batches (fsync'd per batch), replayed with its checkpoint at boot")
 	ckptEvery := flag.Uint64("checkpoint-every", 64, "checkpoint the graph and truncate the WAL every N batches (0 = never)")
 	maxMutateBytes := flag.Int64("max-mutate-bytes", 1<<20, "maximum /mutate request body size; larger bodies get 413")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
@@ -109,10 +109,6 @@ func main() {
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mincutd [flags] graphfile  (see -h)")
-		os.Exit(2)
-	}
-	if *restore && *walPath == "" {
-		fmt.Fprintln(os.Stderr, "mincutd: -restore requires -wal")
 		os.Exit(2)
 	}
 	g, err := mincut.ReadGraphFile(flag.Arg(0), *format)
@@ -125,29 +121,20 @@ func main() {
 		Solve:   mincut.Options{Workers: *solveWorkers, Seed: *seed},
 		AllCuts: mincut.AllCutsOptions{Workers: *solveWorkers, Seed: *seed, NoMaterialize: true},
 	}
-	snap := mincut.NewSnapshot(g, opts)
-	if *restore {
-		snap, err = restoreSnapshot(context.Background(), g, opts, *walPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mincutd: restore: %v\n", err)
-			os.Exit(1)
-		}
+	snap, wal, err := openState(context.Background(), g, opts, *walPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mincutd: %v\n", err)
+		os.Exit(1)
+	}
+	if wal != nil {
+		defer wal.Close()
 		if snap.Epoch() > 0 {
 			fmt.Fprintf(os.Stderr, "mincutd: restored epoch %d from %s\n", snap.Epoch(), *walPath)
 		}
 	}
-
-	cfg := serverConfig{queue: *queue, maxMutateBytes: *maxMutateBytes, checkpointEvery: *ckptEvery}
-	if *walPath != "" {
-		wal, err := persist.OpenWAL(*walPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mincutd: %v\n", err)
-			os.Exit(1)
-		}
-		defer wal.Close()
-		cfg.wal = wal
-	}
-	srv := newServer(snap, *workers, cfg)
+	srv := newServer(snap, *workers, serverConfig{
+		queue: *queue, maxMutateBytes: *maxMutateBytes, checkpointEvery: *ckptEvery, wal: wal,
+	})
 
 	httpSrv := &http.Server{Addr: *listen, Handler: srv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -189,6 +176,27 @@ func main() {
 // checkpointPath is where the periodic graph checkpoint for a WAL
 // lives: alongside the log, never inside it.
 func checkpointPath(walPath string) string { return walPath + ".ckpt" }
+
+// openState builds the boot snapshot and, with a WAL path, the log that
+// /mutate appends to. Every boot with a WAL restores from its checkpoint
+// and log first, so the log's next record always follows its last one;
+// appending epoch 1 after older records would leave a log that no later
+// boot can replay. Without a WAL the snapshot starts at epoch 0 and the
+// returned log is nil.
+func openState(ctx context.Context, g *mincut.Graph, opts mincut.SnapshotOptions, walPath string) (*mincut.Snapshot, *persist.WAL, error) {
+	if walPath == "" {
+		return mincut.NewSnapshot(g, opts), nil, nil
+	}
+	snap, err := restoreSnapshot(ctx, g, opts, walPath)
+	if err != nil {
+		return nil, nil, fmt.Errorf("restore: %w", err)
+	}
+	wal, err := persist.OpenWAL(walPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	return snap, wal, nil
+}
 
 // restoreSnapshot rebuilds the pre-crash snapshot: the checkpoint (if
 // any) replaces the base graph at its epoch, then the WAL records above

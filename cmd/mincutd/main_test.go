@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,5 +583,79 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 	if rec := getJSON(t, srv, "/mincut", nil); rec.Code != http.StatusOK {
 		t.Fatalf("/mincut after overload: %d", rec.Code)
+	}
+}
+
+// parkCounter counts Done calls on a request's context. Before the gate
+// slot frees, the herd's one leader calls Done once as it queues at the
+// gate and each coalesced follower once as it parks behind the leader;
+// a request shed with 429 never calls it.
+type parkCounter struct {
+	context.Context
+	parked *atomic.Int32
+}
+
+func (c parkCounter) Done() <-chan struct{} {
+	c.parked.Add(1)
+	return c.Context.Done()
+}
+
+// TestCoalescedHerdTakesOneSlot: the snapshot's single flight runs one
+// solve per epoch, but every request waiting on it still holds a gate
+// slot or a queue place. The coalescer parks followers outside the gate,
+// so a cold herd of identical queries costs one slot. With 1 worker, a
+// queue of 1 and the slot held, 16 identical /mincut requests must all
+// answer 200 with one body; without coalescing, 15 of them get 429.
+func TestCoalescedHerdTakesOneSlot(t *testing.T) {
+	srv := newServer(mincut.NewSnapshot(testGraph(t), mincut.SnapshotOptions{
+		Solve: mincut.Options{Seed: 1},
+	}), 1, serverConfig{queue: 1})
+
+	release, err := srv.gate.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	freeSlot := func() { once.Do(release) }
+	defer freeSlot()
+
+	const herd = 16
+	var parked atomic.Int32
+	ctx := parkCounter{Context: context.Background(), parked: &parked}
+	recs := make([]*httptest.ResponseRecorder, herd)
+	var wg sync.WaitGroup
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+		wg.Add(1)
+		go func(rec *httptest.ResponseRecorder) {
+			defer wg.Done()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", "/mincut?side=1", nil).WithContext(ctx))
+		}(recs[i])
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for parked.Load() < herd || srv.gate.Queued() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests waiting, %d queued at the gate; want all %d waiting and 1 queued",
+				parked.Load(), herd, srv.gate.Queued(), herd)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	freeSlot()
+	wg.Wait()
+
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK || rec.Body.String() != recs[0].Body.String() {
+			t.Fatalf("request %d: %d %q, want 200 %q", i, rec.Code, rec.Body.String(), recs[0].Body.String())
+		}
+	}
+	var stats struct {
+		Endpoints map[string]struct {
+			Shed      int64 `json:"shed"`
+			Coalesced int64 `json:"coalesced"`
+		} `json:"endpoints"`
+	}
+	getJSON(t, srv, "/stats", &stats)
+	if mc := stats.Endpoints["/mincut"]; mc.Shed != 0 || mc.Coalesced != herd-1 {
+		t.Fatalf("/mincut shed=%d coalesced=%d, want 0 and %d", mc.Shed, mc.Coalesced, herd-1)
 	}
 }

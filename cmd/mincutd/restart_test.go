@@ -30,8 +30,8 @@ func postMutate(t *testing.T, srv *server, body string) (int, uint64) {
 // server with a WAL applies mutations (including a λ-changing crossing
 // delete), is abandoned without any shutdown hook — the in-process
 // equivalent of SIGKILL, since every acknowledged batch was fsync'd —
-// and a second server boots via the -restore path. It must resume at
-// the exact pre-kill epoch with the same λ.
+// and a second server boots via restoreSnapshot, as every -wal boot
+// does. It must resume at the exact pre-kill epoch with the same λ.
 func TestWarmRestartFromWAL(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "mutations.wal")
 	g := testGraph(t)
@@ -259,5 +259,64 @@ func TestRestoreAfterTornTailKeepsLaterWrites(t *testing.T) {
 	cut, err := snapC.MinCut(ctx)
 	if err != nil || cut.Value != before.Lambda {
 		t.Fatalf("second restore: λ=%d (%v), want %d", cut.Value, err, before.Lambda)
+	}
+}
+
+// TestBootWithWALResumesAcrossCrashes: every -wal boot goes through
+// openState, which restores before it appends. Boot, two batches, crash,
+// boot, one batch, crash, boot must end at epoch 3 serving the λ of a
+// fresh solve of the mutated graph. A boot that opened the log at epoch
+// 0 would acknowledge the third batch as epoch 1 after epoch 2, and the
+// next boot would fail on the epoch gap.
+func TestBootWithWALResumesAcrossCrashes(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "mutations.wal")
+	g := testGraph(t)
+	opts := mincut.SnapshotOptions{Solve: mincut.Options{Seed: 1}}
+	ctx := context.Background()
+
+	boot := func(wantEpoch uint64) *server {
+		t.Helper()
+		snap, wal, err := openState(ctx, g, opts, walPath)
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		// A crash leaves the file open; closing it at the end of the
+		// test flushes nothing that Append did not already fsync.
+		t.Cleanup(func() { wal.Close() })
+		if snap.Epoch() != wantEpoch {
+			t.Fatalf("boot: epoch %d, want %d", snap.Epoch(), wantEpoch)
+		}
+		return newServer(snap, 4, serverConfig{wal: wal})
+	}
+	mutate := func(srv *server, body string, wantEpoch uint64) {
+		t.Helper()
+		if code, epoch := postMutate(t, srv, body); code != http.StatusOK || epoch != wantEpoch {
+			t.Fatalf("mutate %s: status %d epoch %d, want 200 at epoch %d", body, code, epoch, wantEpoch)
+		}
+	}
+
+	srvA := boot(0)
+	mutate(srvA, `{"mutations":[{"op":"insert","u":2,"v":7,"weight":3}]}`, 1)
+	mutate(srvA, `{"mutations":[{"op":"delete","u":0,"v":5}]}`, 2)
+	srvB := boot(2) // srvA is abandoned: the first crash
+	mutate(srvB, `{"mutations":[{"op":"delete","u":1,"v":6}]}`, 3)
+	srvC := boot(3) // the second crash
+
+	var served struct {
+		Lambda int64  `json:"lambda"`
+		Epoch  uint64 `json:"epoch"`
+	}
+	if rec := getJSON(t, srvC, "/mincut", &served); rec.Code != http.StatusOK {
+		t.Fatalf("/mincut after the second boot: %d", rec.Code)
+	}
+	mutated, _, err := mincut.NewSnapshot(g, opts).Apply(ctx, []mincut.Mutation{
+		mincut.InsertEdge(2, 7, 3), mincut.DeleteEdge(0, 5), mincut.DeleteEdge(1, 6),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mincut.Solve(mutated.Graph(), mincut.Options{Seed: 99})
+	if served.Epoch != 3 || served.Lambda != want.Value {
+		t.Fatalf("after two crashes: epoch %d λ=%d, want epoch 3 λ=%d", served.Epoch, served.Lambda, want.Value)
 	}
 }

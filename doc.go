@@ -102,13 +102,10 @@
 // chain extraction, Stoer–Wagner's MA ordering, label propagation —
 // iterates the flat arrays directly. Apply rebuilds the CSR from the
 // delta in O(m + k log k) for a k-mutation batch rather than
-// re-normalizing the full edge list. A real-instance benchmark corpus
-// (internal/datasets: vendored small instances such as the karate club
-// plus SuiteSparse instances resolved from $REPRO_DATASETS with SHA-256
-// verification) ties benchmark numbers to named graphs; `cmd/bench
-// -experiment solve` regenerates the BENCH_solve.json baseline over it,
-// and `cmd/bench -experiment service` does the same for the snapshot
-// cache and mutation layer (BENCH_service.json).
+// re-normalizing the full edge list. A real-instance corpus
+// (internal/datasets: small vendored graphs such as the karate club,
+// each with its pinned size and λ) is solved by every exact solver in
+// the tests, and the mincutd CI smokes serve it.
 //
 // All solvers return a witness side along with the value; witnesses
 // always re-evaluate to the reported value. Disconnected graphs have
@@ -176,9 +173,9 @@
 // is appended to a JSON-lines write-ahead log and fsync'd before the new
 // epoch is published, a checkpoint of the full graph is written every
 // -checkpoint-every epochs (atomic tmp+rename, then WAL truncation), and
-// -restore replays checkpoint plus WAL tail on boot — resuming at the
-// exact pre-crash epoch even after SIGKILL, cutting a torn final WAL
-// record off the log so that later appends stay replayable
+// every boot with -wal replays checkpoint plus WAL tail first — resuming
+// at the exact pre-crash epoch even after SIGKILL, cutting a torn final
+// WAL record off the log so that later appends stay replayable
 // (internal/persist).
 //
 // # Differential testing strategy

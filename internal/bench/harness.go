@@ -194,9 +194,9 @@ func row(w io.Writer, cols ...any) {
 	fmt.Fprintln(w)
 }
 
-// WriteJSON writes the measurements of CactusBench, SolveBench or
-// ServiceBench as a BENCH_*.json baseline: an indented JSON array, stable
-// across runs up to timing noise.
+// WriteJSON writes the measurements of Ablation or CactusBench as a
+// BENCH_*.json baseline: an indented JSON array, stable across runs up
+// to timing noise.
 func WriteJSON(path string, rows any) error {
 	buf, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {

@@ -70,9 +70,8 @@ func LargeScale() Scale {
 
 // Instance is a named benchmark graph.
 type Instance struct {
-	Name   string
-	G      *graph.Graph
-	Family string
+	Name string
+	G    *graph.Graph
 }
 
 // RHGInstances generates the Figure 2 workload: random hyperbolic graphs
@@ -87,9 +86,8 @@ func RHGInstances(s Scale) []Instance {
 			g := gen.RHG(n, deg, 5, s.Seed+uint64(sc*100+de))
 			lc, _ := g.LargestComponent()
 			out = append(out, Instance{
-				Name:   fmt.Sprintf("rhg_%d_%d", sc, de),
-				G:      lc,
-				Family: "rhg",
+				Name: fmt.Sprintf("rhg_%d_%d", sc, de),
+				G:    lc,
 			})
 		}
 	}
@@ -182,21 +180,21 @@ func ScalingInstances(s Scale) []Instance {
 		return parts
 	}
 	web1 := gen.AssembleWeaklyLinked(webParts(s.Seed+21), []int{1}, s.Seed+210)
-	out = append(out, Instance{Name: "web1_k10", G: web1, Family: "core"})
+	out = append(out, Instance{Name: "web1_k10", G: web1})
 	web2 := gen.AssembleWeaklyLinked(webParts(s.Seed+23), []int{1, 2}, s.Seed+230)
-	out = append(out, Instance{Name: "web2_k10", G: web2, Family: "core"})
+	out = append(out, Instance{Name: "web2_k10", G: web2})
 	soc := make([]*graph.Graph, 2)
 	for i := range soc {
 		soc[i] = gen.BarabasiAlbert(n, 25, s.Seed+29+uint64(i))
 	}
 	social := gen.AssembleWeaklyLinked(soc, []int{3}, s.Seed+290)
-	out = append(out, Instance{Name: "social_k25", G: social, Family: "core"})
+	out = append(out, Instance{Name: "social_k25", G: social})
 	maxScale := s.RHGScales[len(s.RHGScales)-1]
 	maxDeg := s.RHGDegExps[len(s.RHGDegExps)-1]
 	for i := uint64(1); i <= 2; i++ {
 		g := gen.RHG(1<<maxScale, float64(int(1)<<maxDeg), 5, s.Seed+1000*i)
 		lc, _ := g.LargestComponent()
-		out = append(out, Instance{Name: fmt.Sprintf("rhg_%d_%d_%d", maxScale, maxDeg, i), G: lc, Family: "rhg"})
+		out = append(out, Instance{Name: fmt.Sprintf("rhg_%d_%d_%d", maxScale, maxDeg, i), G: lc})
 	}
 	return out
 }

@@ -104,9 +104,6 @@ type PhaseTiming struct {
 	Contract time.Duration // parallel contraction + relabeling, series reduction included
 }
 
-// Total returns the sum of the tracked phases.
-func (p PhaseTiming) Total() time.Duration { return p.VieCut + p.Scan + p.Contract }
-
 // ParallelMinimumCut computes the exact minimum cut of g with
 // shared-memory parallelism (paper Algorithm 2). Cancellation is checked
 // at every round boundary (one parallel CAPFOREST scan + contraction) and

@@ -1,44 +1,25 @@
-// Package datasets catalogs the real-instance benchmark corpus: small
-// instances vendored under testdata/ (always available) and larger
-// SuiteSparse instances resolved from an external directory with checksum
-// verification (skipped when absent). Both tests and cmd/bench consume the
-// same table, so every future performance number is tied to a named,
-// reproducible instance instead of an ad-hoc synthetic graph.
-//
-// External instances are looked up in $REPRO_DATASETS. Place e.g.
-// jagmesh7.mtx there (SuiteSparse collection, HB/jagmesh7) and optionally
-// a checksums.txt with "<sha256>  <filename>" lines; files listed there
-// are verified on load, unlisted files load unverified.
+// Package datasets catalogs the real-instance corpus vendored under
+// testdata/: small MatrixMarket graphs with their pinned vertex count,
+// edge count and minimum-cut value. Tests across the repository and the
+// mincutd CI smokes read the same files, so a solver's answer on a named
+// graph is checked against one catalogued λ everywhere.
 package datasets
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/graphio"
 )
 
-// EnvDir is the environment variable naming the external dataset
-// directory.
-const EnvDir = "REPRO_DATASETS"
-
 // Dataset is one named benchmark instance.
 type Dataset struct {
 	Name string
-	File string // file name under the vendored or external directory
-	// Vendored instances live in testdata/ and are always available;
-	// external ones come from $REPRO_DATASETS and may be absent.
-	Vendored bool
+	File string // file name under testdata/
 	// N, M and Lambda are the expected vertex count, edge count and
-	// minimum-cut value; zero means unknown (external instances whose
-	// ground truth is established on first load).
+	// minimum-cut value.
 	N, M   int
 	Lambda int64
 	// Description records provenance.
@@ -48,102 +29,33 @@ type Dataset struct {
 // Vendored lists the instances shipped in testdata/.
 func Vendored() []Dataset {
 	return []Dataset{
-		{Name: "karate", File: "karate.mtx", Vendored: true, N: 34, M: 78, Lambda: 1,
+		{Name: "karate", File: "karate.mtx", N: 34, M: 78, Lambda: 1,
 			Description: "Zachary karate club social network (Zachary 1977; SuiteSparse Newman/karate)"},
-		{Name: "petersen", File: "petersen.mtx", Vendored: true, N: 10, M: 15, Lambda: 3,
+		{Name: "petersen", File: "petersen.mtx", N: 10, M: 15, Lambda: 3,
 			Description: "Petersen graph: 3-regular, 3-edge-connected"},
-		{Name: "dodecahedral", File: "dodecahedral.mtx", Vendored: true, N: 20, M: 30, Lambda: 3,
+		{Name: "dodecahedral", File: "dodecahedral.mtx", N: 20, M: 30, Lambda: 3,
 			Description: "Dodecahedral graph (LCF [10,7,4,-4,-7,10,-4,7,-7,4]^2)"},
-		{Name: "mesh9x9", File: "mesh9x9.mtx", Vendored: true, N: 81, M: 208, Lambda: 2,
+		{Name: "mesh9x9", File: "mesh9x9.mtx", N: 81, M: 208, Lambda: 2,
 			Description: "Triangulated 9x9 grid, the FEM mesh structure of the jagmesh class"},
-		{Name: "wheel33", File: "wheel33.mtx", Vendored: true, N: 33, M: 64, Lambda: 5,
+		{Name: "wheel33", File: "wheel33.mtx", N: 33, M: 64, Lambda: 5,
 			Description: "Weighted wheel: rim weight 2, spokes weight 1; 32 minimum cuts"},
 	}
 }
 
-// External lists the larger SuiteSparse instances resolved from
-// $REPRO_DATASETS (the classes the paper's experiments draw on); their
-// sizes and cut values are not asserted here.
-func External() []Dataset {
-	return []Dataset{
-		{Name: "jagmesh7", File: "jagmesh7.mtx",
-			Description: "SuiteSparse HB/jagmesh7: FEM mesh problem"},
-		{Name: "bcsstk13", File: "bcsstk13.mtx",
-			Description: "SuiteSparse HB/bcsstk13: fluid flow stiffness matrix"},
-	}
-}
+// Path returns the on-disk location of d.
+func (d Dataset) Path() string { return filepath.Join(vendorDir(), d.File) }
 
-// All lists every known instance, vendored first.
-func All() []Dataset { return append(Vendored(), External()...) }
-
-// Path resolves the on-disk location of d without loading it. External
-// datasets resolve only when $REPRO_DATASETS is set; the file itself may
-// still be absent.
-func (d Dataset) Path() (string, error) {
-	if d.Vendored {
-		return filepath.Join(vendorDir(), d.File), nil
-	}
-	dir := os.Getenv(EnvDir)
-	if dir == "" {
-		return "", fmt.Errorf("datasets: %s: %w (set $%s to a directory holding %s)",
-			d.Name, fs.ErrNotExist, EnvDir, d.File)
-	}
-	return filepath.Join(dir, d.File), nil
-}
-
-// Load reads d as a graph, verifying the file's SHA-256 against
-// checksums.txt in the external directory when one lists it. A missing
-// external directory or file yields an error wrapping fs.ErrNotExist, so
-// callers can skip: errors.Is(err, fs.ErrNotExist).
+// Load reads d as a graph.
 func (d Dataset) Load() (*graph.Graph, error) {
-	path, err := d.Path()
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("datasets: %s: %w", d.Name, err)
-	}
-	if !d.Vendored {
-		if err := verifyChecksum(filepath.Dir(path), d.File, data); err != nil {
-			return nil, fmt.Errorf("datasets: %s: %w", d.Name, err)
-		}
-	}
-	g, err := graphio.ReadMatrixMarket(strings.NewReader(string(data)))
+	g, err := graphio.ReadFile(d.Path(), "matrixmarket")
 	if err != nil {
 		return nil, fmt.Errorf("datasets: %s: %w", d.Name, err)
 	}
 	return g, nil
 }
 
-// verifyChecksum checks data against the "<sha256>  <name>" line for name
-// in dir/checksums.txt. No checksums file, or no line for name, passes
-// (unverified); a mismatching digest fails.
-func verifyChecksum(dir, name string, data []byte) error {
-	raw, err := os.ReadFile(filepath.Join(dir, "checksums.txt"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) != 2 || fields[1] != name {
-			continue
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); !strings.EqualFold(got, fields[0]) {
-			return fmt.Errorf("checksum mismatch for %s: file %s, checksums.txt %s", name, got, fields[0])
-		}
-		return nil
-	}
-	return nil
-}
-
-// vendorDir locates testdata/ relative to this source file, so both
-// `go test` (any package) and cmd/bench binaries run from the repository
-// find the vendored corpus.
+// vendorDir locates testdata/ relative to this source file, so `go test`
+// in any package finds the vendored corpus.
 func vendorDir() string {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {

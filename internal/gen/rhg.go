@@ -18,8 +18,8 @@ import (
 // al. (ISAAC 2015, the NetworKit generator the paper calls): points are
 // bucketed into radial bands, each band sorted by angle; for a query
 // point only the angular window that could possibly be within distance R
-// of the band's inner radius is examined. RHGNaive is the O(n²) reference
-// used to cross-check exact edge-set equality in tests.
+// of the band's inner radius is examined. The package tests cross-check
+// exact edge-set equality against an O(n²) all-pairs reference.
 
 // rhgPoint caches the hyperbolic trigonometry of a sampled point.
 type rhgPoint struct {
@@ -63,33 +63,15 @@ func rhgSample(n int, alpha, R float64, seed uint64) []rhgPoint {
 }
 
 // hyperbolicConnected reports whether two points are within hyperbolic
-// distance R of each other. Both generators share this predicate so their
-// edge sets agree bit-for-bit.
+// distance R of each other. RHG and the tests' all-pairs reference share
+// this predicate so their edge sets agree bit-for-bit.
 func hyperbolicConnected(a, b *rhgPoint, coshDiskR float64) bool {
 	coshDist := a.coshR*b.coshR - a.sinhR*b.sinhR*math.Cos(a.theta-b.theta)
 	return coshDist <= coshDiskR
 }
 
-// RHGNaive generates a random hyperbolic graph by testing all pairs.
-// Intended for tests and tiny instances.
-func RHGNaive(n int, avgDeg, beta float64, seed uint64) *graph.Graph {
-	alpha, R := rhgParams(n, avgDeg, beta)
-	pts := rhgSample(n, alpha, R, seed)
-	coshDiskR := math.Cosh(R)
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if hyperbolicConnected(&pts[i], &pts[j], coshDiskR) {
-				b.AddEdge(int32(i), int32(j), 1)
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
 // RHG generates a random hyperbolic graph with n vertices, target average
-// degree avgDeg and power-law exponent beta (>2). The same seed produces
-// the same graph as RHGNaive.
+// degree avgDeg and power-law exponent beta (>2).
 func RHG(n int, avgDeg, beta float64, seed uint64) *graph.Graph {
 	alpha, R := rhgParams(n, avgDeg, beta)
 	pts := rhgSample(n, alpha, R, seed)

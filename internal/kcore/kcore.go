@@ -94,14 +94,3 @@ func LargestComponentOfKCore(g *graph.Graph, k int32) (*graph.Graph, []int32) {
 	}
 	return lc, orig
 }
-
-// Degeneracy returns the maximum core number (the degeneracy of g).
-func Degeneracy(g *graph.Graph) int32 {
-	var d int32
-	for _, c := range CoreNumbers(g) {
-		if c > d {
-			d = c
-		}
-	}
-	return d
-}

@@ -75,7 +75,10 @@ func TestPropertyDegeneracyConsistent(t *testing.T) {
 		if g.NumVertices() == 0 {
 			return true
 		}
-		d := Degeneracy(g)
+		var d int32 // the degeneracy: the maximum core number
+		for _, c := range CoreNumbers(g) {
+			d = max(d, c)
+		}
 		atD, _ := KCore(g, d)
 		aboveD, _ := KCore(g, d+1)
 		return atD.NumVertices() > 0 && aboveD.NumVertices() == 0

@@ -4,9 +4,12 @@
 // bounded inflight pool plus a bounded wait queue; everything beyond
 // that is shed immediately instead of piling up).
 //
-// Both primitives are deliberately independent of net/http types so the
-// benchmark harness (internal/bench) can drive them against a bare
-// Snapshot without standing up a server.
+// Coalescing does not duplicate the Snapshot's single flight. The
+// snapshot runs one solve per epoch, but every request waiting on that
+// solve still holds a pool slot or a queue place. mincutd coalesces
+// before admission, so followers wait outside the gate: a herd of
+// identical queries costs one slot and one marshal instead of filling
+// the queue and being shed with 429.
 package serve
 
 import (

@@ -81,7 +81,7 @@ func NewSnapshot(g *Graph, opts SnapshotOptions) *Snapshot {
 
 // RestoreSnapshot wraps g at the given epoch with cold caches. It
 // exists for services that persist a mutation log: after replaying the
-// log onto the base graph at boot (see cmd/mincutd -restore), the
+// log onto the base graph at boot (see cmd/mincutd -wal), the
 // daemon resumes numbering where the previous process stopped, so
 // clients comparing epochs across a restart never see time move
 // backwards. Certificates are re-derived lazily on first query.
