@@ -219,11 +219,13 @@ type AllCutsOptions struct {
 	Seed uint64
 	// MaxCuts aborts with an error if more cuts than this are found
 	// (≤ 0 means a 2²⁰ safety default; the theory bounds the count by
-	// n(n-1)/2 for connected graphs).
+	// n(n-1)/2 for connected graphs). Building the cactus materializes no
+	// cut, so the cap bounds time, not memory, unless Cuts is filled.
 	MaxCuts int
 	// NoMaterialize skips building AllCuts.Cuts — Θ(C·n) bytes for C
-	// cuts, Θ(n³) on cycle-heavy graphs. The cactus is still built;
-	// stream the cuts from it with Cactus.EachMinCut.
+	// cuts, Θ(n³) on cycle-heavy graphs. The cactus is still built (it
+	// materializes no cut); stream the cuts from it with
+	// Cactus.EachMinCut.
 	NoMaterialize bool
 }
 
@@ -248,10 +250,12 @@ type AllCuts = cactus.Result
 // the flow across steps, each step augments to at most λ and reads its
 // minimum cuts off as a nested chain. The steps shard across
 // AllCutsOptions.Workers, each worker walking a contiguous segment of
-// the adjacency order on its own residual network.
-// The cuts are assembled into the Dinitz–Karzanov–Lomonosov cactus, in
-// which every minimum cut is the removal of one tree edge or of two edges
-// of one cycle.
+// the adjacency order on its own residual network. The chains are
+// merged into the Dinitz–Karzanov–Lomonosov cactus, in which every
+// minimum cut is the removal of one tree edge or of two edges of one
+// cycle, by replaying them last step first and splitting one cactus
+// node into a path per step — no cut is materialized or compared with
+// another.
 //
 // AllMinCuts is a convenience shim over the Snapshot API, like Solve.
 func AllMinCuts(g *Graph, opts AllCutsOptions) (*AllCuts, error) {

@@ -134,8 +134,9 @@
 // adjacency order on its own residual network with the segment's prefix
 // pre-absorbed as its contracted source, and the per-segment chains
 // concatenate in step order, so the output is identical for every
-// worker count. The cactus assembly groups crossing cuts in one
-// size-ascending sweep instead of a pairwise crossing test.
+// worker count. The cactus is built from those chains directly: replayed
+// last step first, each chain splits one cactus node into a path, so
+// no cut is materialized and no two cuts are compared.
 // AllCutsOptions.NoMaterialize skips the Θ(C·n) materialized cut list;
 // stream the cuts with Cactus.EachMinCut instead (cmd/mincut -all does
 // this by default). EachMinCut walks the cactus with O(n) auxiliary
@@ -186,9 +187,11 @@
 // from every generator, the Karzanov–Timofeev enumeration is compared
 // cut-for-cut against a quadratic per-vertex Picard–Queyranne reference
 // (kept in internal/cactus's tests) on 1000+ random, cycle,
-// clique-chain and star-of-cycles instances (weighted and unweighted)
-// and against the λ-pruned branch-and-bound all-cuts oracle up to
-// n = 16, the cactus must re-encode exactly the enumerated cut set, and
+// clique-chain, star-of-cycles and cactus-shaped instances (weighted
+// and unweighted) and against the λ-pruned branch-and-bound all-cuts
+// oracle up to n = 16, the cactus must re-encode exactly the enumerated
+// cut set and match, node for node and edge for edge in count, the one
+// the reference's bit-matrix builder assembles, and
 // native fuzz targets (FuzzFromEdges, FuzzReadMatrixMarket, FuzzMinCut,
 // cmd/mincutd's FuzzMutateHTTP, and internal/cactus's FuzzAllMinCuts)
 // feed arbitrary edge lists, format bytes and mutation request bodies

@@ -16,8 +16,9 @@ import (
 
 // CactusMeasurement is one all-minimum-cuts timing: an instance, the
 // worker count, and the resulting cut family statistics with the
-// enumerate/assemble phase split. The collected slice is the
-// BENCH_cactus.json baseline tracking the cactus subsystem across PRs.
+// enumerate/assemble phase split and the bytes allocated. The collected
+// slice is the BENCH_cactus.json baseline tracking the cactus subsystem
+// across changes.
 type CactusMeasurement struct {
 	Instance string `json:"instance"`
 	N        int    `json:"n"`
@@ -32,19 +33,23 @@ type CactusMeasurement struct {
 	// LambdaMillis, KernelizeMillis, EnumerateMillis and AssembleMillis
 	// split Millis into the pipeline's phases (cactus.PhaseTimings): the
 	// λ solve, the all-cuts kernelization, the cut enumeration and the
-	// post-enumeration assembly (canonical sort, cactus construction,
-	// lift).
+	// post-enumeration assembly (the chain merge and the lift).
 	LambdaMillis    float64 `json:"lambda_ms"`
 	KernelizeMillis float64 `json:"kernelize_ms"`
 	EnumerateMillis float64 `json:"enumerate_ms"`
 	AssembleMillis  float64 `json:"assemble_ms"`
+	// AllocMB is the heap the kept rep allocated (runtime.MemStats
+	// TotalAlloc), in MB.
+	AllocMB float64 `json:"alloc_mb"`
 }
 
 // cactusInstance is a named generator so instances are built lazily and
-// deterministically.
+// deterministically. maxCuts, when positive, raises Options.MaxCuts for
+// an instance with more than cactus.DefaultMaxCuts minimum cuts.
 type cactusInstance struct {
-	name string
-	g    *graph.Graph
+	name    string
+	g       *graph.Graph
+	maxCuts int
 }
 
 func cactusInstances(s Scale) []cactusInstance {
@@ -58,16 +63,18 @@ func cactusInstances(s Scale) []cactusInstance {
 		{name: fmt.Sprintf("gnm_%d_%d", 2*unit, 6*unit), g: rnd},
 		// Cycle-heavy: unit rings, Θ(n²) minimum cuts, nothing for the
 		// kernelization to contract — the KT worst case, and the scaling
-		// story for the sharded enumeration and the word-parallel
-		// assembly. ring_1024 entered the matrix once the transposed
-		// assembly could afford it.
+		// story for the sharded enumeration and the chain merge. The two
+		// largest exceed DefaultMaxCuts; a C×n cut matrix would take 0.5
+		// and 4.3 GB for them at small scale.
+		{name: fmt.Sprintf("ring_%d", 32*unit), g: gen.Ring(32 * unit), maxCuts: 32 * unit * (32*unit - 1) / 2},
+		{name: fmt.Sprintf("ring_%d", 16*unit), g: gen.Ring(16 * unit), maxCuts: 16 * unit * (16*unit - 1) / 2},
 		{name: fmt.Sprintf("ring_%d", 8*unit), g: gen.Ring(8 * unit)},
 		{name: fmt.Sprintf("ring_%d", 4*unit), g: gen.Ring(4 * unit)},
 		{name: fmt.Sprintf("ring_%d", 2*unit), g: gen.Ring(2 * unit)},
 		{name: fmt.Sprintf("ring_%d", unit), g: gen.Ring(unit)},
 		// Kernel-heavy: clique chain, the kernel collapses to a path.
 		{name: fmt.Sprintf("cliquechain_%d_8", unit/8), g: gen.CliqueChain(unit/8, 8)},
-		// Many cycles sharing a node: one small crossing class per cycle.
+		// Many cycles sharing a node: the merge reopens one cycle per arm.
 		{name: fmt.Sprintf("starofcycles_8_%d", unit/8), g: gen.StarOfCycles(8, unit/8)},
 		{name: fmt.Sprintf("starofcycles_16_%d", unit/2), g: gen.StarOfCycles(16, unit/2)},
 		// perfbench allcuts' shape: the λ solve contracts the cliques and
@@ -85,7 +92,7 @@ func cactusInstances(s Scale) []cactusInstance {
 // ring).
 func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 	header(w, "cactus: all minimum cuts (KT)")
-	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "lambda_ms", "kern_ms", "enum_ms", "asm_ms", "ms")
+	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "lambda_ms", "kern_ms", "enum_ms", "asm_ms", "ms", "alloc_mb")
 	workerCounts := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workerCounts = append(workerCounts, p)
@@ -102,19 +109,23 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 		for _, workers := range workerCounts {
 			best := time.Duration(1<<63 - 1)
 			var res *cactus.Result
+			var alloc uint64
 			for rep := 0; rep < s.Reps; rep++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				start := time.Now()
 				r, err := cactus.AllMinCuts(context.Background(), inst.g, cactus.Options{
-					Seed: s.Seed + uint64(rep), Workers: workers, NoMaterialize: true,
+					Seed: s.Seed + uint64(rep), Workers: workers, NoMaterialize: true, MaxCuts: inst.maxCuts,
 				})
+				d := time.Since(start)
+				runtime.ReadMemStats(&after)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "bench: %s/workers=%d: %v\n", inst.name, workers, err)
 					res = nil
 					break
 				}
-				if d := time.Since(start); d < best {
-					best = d
-					res = r
+				if d < best {
+					best, res, alloc = d, r, after.TotalAlloc-before.TotalAlloc
 				}
 			}
 			if res == nil {
@@ -133,10 +144,11 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 				KernelizeMillis: float64(res.Phases.Kernelize.Microseconds()) / 1000,
 				EnumerateMillis: float64(res.Phases.Enumerate.Microseconds()) / 1000,
 				AssembleMillis:  float64(res.Phases.Assemble.Microseconds()) / 1000,
+				AllocMB:         float64(alloc) / 1e6,
 			}
 			out = append(out, m)
 			row(w, m.Instance, m.N, m.M, m.Workers, m.Lambda, m.Cuts, m.Kernel,
-				m.LambdaMillis, m.KernelizeMillis, m.EnumerateMillis, m.AssembleMillis, m.Millis)
+				m.LambdaMillis, m.KernelizeMillis, m.EnumerateMillis, m.AssembleMillis, m.Millis, m.AllocMB)
 		}
 	}
 	return out

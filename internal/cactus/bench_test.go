@@ -9,20 +9,20 @@ import (
 	"repro/internal/graph"
 )
 
-// benchCuts enumerates a graph's minimum-cut family once (via KT) so the
-// assembly benchmark isolates buildCactus from the flow work.
-func benchCuts(b *testing.B, g *graph.Graph, lambda int64) []bitset {
+// benchChains enumerates a graph's minimum-cut family once (via KT) so
+// the assembly benchmark isolates it from the flow work.
+func benchChains(b *testing.B, g *graph.Graph, lambda int64) *ktChains {
 	b.Helper()
-	cuts, err := ktEnumerate(context.Background(), g, 0, lambda, DefaultMaxCuts, 1)
+	fam, err := ktEnumerate(context.Background(), g, 0, lambda, DefaultMaxCuts, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cuts
+	return fam.(*ktChains)
 }
 
-// BenchmarkCactusBuild times the DKL assembly alone — atoms, crossing
-// classes, circular partitions, laminar forest — on pre-enumerated cut
-// families. The unit rings are the crossing-heavy worst case (one class
+// BenchmarkCactusBuild times the assembly alone on pre-enumerated KT
+// chains: the chain merge, and the bit-matrix reference on the same
+// family. The unit rings are the crossing-heavy worst case (one class
 // of Θ(n²) cuts); the star of cycles has many small classes.
 func BenchmarkCactusBuild(b *testing.B) {
 	cases := []struct {
@@ -36,16 +36,22 @@ func BenchmarkCactusBuild(b *testing.B) {
 		{"cliquechain_16_6", gen.CliqueChain(16, 6), 1},
 	}
 	for _, tc := range cases {
-		cuts := benchCuts(b, tc.g, tc.lambda)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/cuts_%d/workers_%d", tc.name, len(cuts), workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := buildCactus(tc.g.NumVertices(), 0, cuts, tc.lambda, workers); err != nil {
-						b.Fatal(err)
-					}
+		ch := benchChains(b, tc.g, tc.lambda)
+		b.Run(fmt.Sprintf("%s/cuts_%d/merge", tc.name, ch.count), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ch.cactus(tc.lambda); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
+		list := &cutList{nk: ch.nk, cuts: ch.cutsOf(), workers: 1}
+		b.Run(fmt.Sprintf("%s/cuts_%d/matrix", tc.name, ch.count), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := list.cactus(tc.lambda); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,109 @@
 package cactus
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
+	"unsafe"
 
 	"repro/internal/dsu"
 )
+
+// This file is the reference cactus assembly the chain merge
+// (merge.go) is checked against: a cut family materialized as a C×n
+// bit matrix, sorted canonically and assembled by the
+// Dinitz–Karzanov–Lomonosov structure theorem. The quadratic
+// enumeration (quadratic_test.go) feeds it through cutList.
+
+// cutList is a kernel's minimum-cut family as canonical sides (bitsets
+// over the nk kernel vertices, none containing k0), assembled by
+// buildCactus over workers.
+type cutList struct {
+	nk      int
+	k0      int32
+	cuts    []bitset
+	workers int
+}
+
+func (l *cutList) size() int { return len(l.cuts) }
+
+func (l *cutList) cactus(lambda int64) (*Cactus, error) {
+	return buildCactus(l.nk, l.k0, sortCanonical(l.cuts, l.workers), lambda, l.workers)
+}
+
+// cutsOf expands the KT chains into their cut sides, X_j = P_0 ∪ … ∪ P_j
+// for every step: the same family as a cut list.
+func (c *ktChains) cutsOf() []bitset {
+	var cuts []bitset
+	for _, seg := range c.segs {
+		for k := seg.lo; k < seg.hi; k++ {
+			side := newBitset(c.nk)
+			cur := int32(0)
+			seg.log.eachVertex(k, func(j, v int32) {
+				if j != cur {
+					cuts = append(cuts, side.clone())
+					cur = j
+				}
+				side.set(int(v))
+			})
+			cuts = append(cuts, side.clone())
+		}
+	}
+	return cuts
+}
+
+// sortCanonical returns the cuts in canonical kernel order (side size,
+// then lexicographic), so the reference cactus is deterministic. The
+// size key is a counting sort (sizes are bounded by nk); only the
+// per-size buckets need comparison sorting, which keeps every
+// comparison single-key and lets the buckets sort across the workers.
+func sortCanonical(kcuts []bitset, workers int) []bitset {
+	sizes := make([]int, len(kcuts))
+	maxSize := 0
+	for i, m := range kcuts {
+		sizes[i] = m.count()
+		if sizes[i] > maxSize {
+			maxSize = sizes[i]
+		}
+	}
+	offs := make([]int32, maxSize+2)
+	for _, s := range sizes {
+		offs[s+1]++
+	}
+	for s := 1; s < len(offs); s++ {
+		offs[s] += offs[s-1]
+	}
+	bounds := append([]int32(nil), offs...) // bucket s occupies perm[bounds[s]:bounds[s+1]]
+	perm := make([]int32, len(kcuts))
+	for i, s := range sizes {
+		perm[offs[s]] = int32(i)
+		offs[s]++
+	}
+	parallelBlocks(workers, maxSize+1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			b := perm[bounds[s]:bounds[s+1]]
+			if len(b) < 2 {
+				continue
+			}
+			sort.Slice(b, func(x, y int) bool {
+				i, j := b[x], b[y]
+				for w := len(kcuts[i]) - 1; w >= 0; w-- {
+					if kcuts[i][w] != kcuts[j][w] {
+						return kcuts[i][w] < kcuts[j][w]
+					}
+				}
+				return false
+			})
+		}
+	})
+	sorted := make([]bitset, len(kcuts))
+	for a, i := range perm {
+		sorted[a] = kcuts[i]
+	}
+	return sorted
+}
 
 // buildCactus assembles the cactus over nk kernel vertices from the
 // deduplicated canonical minimum-cut sides (bitsets over kernel vertices,
@@ -538,4 +636,168 @@ func crossingClasses(cutA []bitset) *dsu.DSU {
 		open = append(kept, cur)
 	}
 	return classes
+}
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+
+func (b bitset) clone() bitset {
+	c := make(bitset, len(b))
+	copy(c, b)
+	return c
+}
+
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// key returns a map key identifying the bitset's content.
+func (b bitset) key() string {
+	buf := make([]byte, 8*len(b))
+	for i, w := range b {
+		binary.LittleEndian.PutUint64(buf[8*i:], w)
+	}
+	return string(buf)
+}
+
+// viewKey returns a map key identifying the bitset's content as a
+// zero-copy view of its words. The caller must not mutate b while any
+// map still holds the key — the signature-grouping passes of the cactus
+// assembly qualify (signature matrices are read-only once built), and
+// skipping the per-word copy of key() matters there because those keys
+// span the whole cut family (C/8 bytes each).
+func (b bitset) viewKey() string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String((*byte)(unsafe.Pointer(&b[0])), 8*len(b))
+}
+
+// orWith ORs c into b in place (b |= c).
+func (b bitset) orWith(c bitset) {
+	for i := range b {
+		b[i] |= c[i]
+	}
+}
+
+func (b bitset) intersects(c bitset) bool {
+	for i := range b {
+		if b[i]&c[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// subsetOf reports b ⊆ c.
+func (b bitset) subsetOf(c bitset) bool {
+	for i := range b {
+		if b[i]&^c[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// transpose64 transposes the 64×64 bit block a in place with the
+// log-step masked-swap recursion (Hacker's Delight §7-3, mirrored for
+// LSB-first words): bit c of word r moves to bit r of word c. Six
+// passes of word-wide swaps replace the 4096 single-bit moves of the
+// naive transpose.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j >>= 1 {
+		for b := 0; b < 64; b += j << 1 {
+			for k := b; k < b+j; k++ {
+				t := (a[k]>>uint(j) ^ a[k+j]) & m
+				a[k] ^= t << uint(j)
+				a[k+j] ^= t
+			}
+		}
+		m ^= m << uint(j>>1)
+	}
+}
+
+// transposeBits returns the ncols×nrows transpose of the nrows×ncols
+// bit matrix held in rows (out[c] bit r ⟺ rows[r] bit c), computed as
+// cache-blocked 64×64 word transposes: O(nrows·ncols/64) word
+// operations in place of a per-set-bit scatter. Every row must span
+// exactly ncols bits (newBitset(ncols)); the output rows share one
+// backing array. The 64-column output blocks are independent, so the
+// work shards across workers with no synchronization beyond the final
+// join.
+func transposeBits(rows []bitset, ncols, workers int) []bitset {
+	nrows := len(rows)
+	outWords := (nrows + 63) / 64
+	out := make([]bitset, ncols)
+	backing := make([]uint64, ncols*outWords)
+	for c := range out {
+		out[c] = bitset(backing[c*outWords : (c+1)*outWords : (c+1)*outWords])
+	}
+	colBlocks := (ncols + 63) / 64
+	parallelBlocks(workers, colBlocks, func(cbLo, cbHi int) {
+		var blk [64]uint64
+		for rb := 0; rb < nrows; rb += 64 {
+			rn := nrows - rb
+			if rn > 64 {
+				rn = 64
+			}
+			rowBlk := rows[rb : rb+rn]
+			wo := rb >> 6
+			for cb := cbLo; cb < cbHi; cb++ {
+				for i, r := range rowBlk {
+					blk[i] = r[cb]
+				}
+				for i := rn; i < 64; i++ {
+					blk[i] = 0
+				}
+				transpose64(&blk)
+				cn := ncols - cb<<6
+				if cn > 64 {
+					cn = 64
+				}
+				// Scatter straight into the shared backing (row c starts at
+				// c*outWords), sparing a slice-header load per word.
+				base := cb<<6*outWords + wo
+				for j := 0; j < cn; j++ {
+					backing[base+j*outWords] = blk[j]
+				}
+			}
+		}
+	})
+	return out
+}
+
+// parallelBlocks splits [0, n) into one contiguous range per worker and
+// runs fn on each concurrently; with one worker (or nothing to split)
+// it runs inline. fn ranges are disjoint, so fn needs no locking as
+// long as it writes only state owned by its range.
+func parallelBlocks(workers, n int, fn func(lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, hi)
+		}()
+	}
+	wg.Wait()
 }

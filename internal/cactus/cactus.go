@@ -15,22 +15,14 @@
 //     read off as nested chains, each global minimum cut found exactly
 //     once (at most n(n-1)/2 of them, by Dinitz–Karzanov–Lomonosov);
 //     the steps shard across Options.Workers, one Progressive per
-//     worker segment with the segment's prefix pre-absorbed, and the
-//     per-segment chains concatenate in step order so the cut list is
-//     identical for every worker count (the tests check it against a
-//     quadratic reference: one Picard–Queyranne enumeration, flow.STEnum,
-//     per kernel vertex, deduplicated in a shared set);
-//  4. cactus construction, word- and worker-parallel: the C×n cut-side
-//     matrix is transposed as cache-blocked 64×64 bit blocks
-//     (transposeBits, sharded across Options.Workers) so per-vertex
-//     cut-membership signatures cost O(C·n/64) word operations instead
-//     of a per-set-bit scatter; vertices with equal signature rows are
-//     grouped into atoms (never separated), crossing cuts are resolved
-//     into circular partitions (cycles) by a single size-ascending
-//     union-mask sweep (crossingClasses) with the per-class cycle
-//     orderings fanned out over workers, non-crossing cuts into a
-//     laminar forest (tree edges). The merge order is deterministic, so
-//     the cactus encoding is byte-identical for every worker count.
+//     worker segment with the segment's prefix pre-absorbed, and each
+//     chain is recorded as the parts it splits the kernel into;
+//  4. cactus construction by merging the chains (ktChains.cactus), last
+//     step first: each step splits the root's node into a path, in O(n)
+//     and with no cut materialized or compared, and the result is
+//     byte-identical for every worker count. The tests check it against
+//     a quadratic reference: one Picard–Queyranne enumeration per kernel
+//     vertex, assembled by a C×n cut-bit-matrix builder.
 //
 // The resulting Cactus is an O(n)-size structure in which every minimum
 // cut appears as the removal of one tree edge or of two edges of the same

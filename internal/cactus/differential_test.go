@@ -1,6 +1,7 @@
 package cactus
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -17,14 +18,16 @@ import (
 //   - the branch-and-bound oracle (verify.AllMinimumCuts, n ≤ 16 here).
 //
 // TestDifferentialKTvsQuadratic alone sweeps well over 1000 instances —
-// random unit and weighted graphs, cycles with chords, clique chains and
-// stars of cycles — and the remaining tests add structured and ablation
-// coverage on the KT pipeline.
+// random unit and weighted graphs, cycles with chords, clique chains,
+// stars of cycles and cactus-shaped graphs — and the remaining tests add
+// structured and ablation coverage on the KT pipeline.
 
 // checkKTvsQuadratic runs the pipeline with both enumerators and fails
-// unless they agree cut-for-cut; both cactuses must validate and
-// re-encode the same number of cuts. Returns the KT result for further
-// checks.
+// unless they agree cut-for-cut and on the cactus shape — the KT result
+// is built by the chain merge, the quadratic one by the bit-matrix
+// reference, and a family has one cactus in normal form; both cactuses
+// must validate and re-encode the same number of cuts. Returns the KT
+// result for further checks.
 func checkKTvsQuadratic(t *testing.T, g *graph.Graph, seed uint64) *Result {
 	t.Helper()
 	kt := mustAll(t, g, Options{Seed: seed})
@@ -55,7 +58,19 @@ func checkKTvsQuadratic(t *testing.T, g *graph.Graph, seed uint64) *Result {
 			t.Fatalf("%s cactus encodes %d cuts, enumeration found %d", name, got, res.Count)
 		}
 	}
+	if err := sameShape(kt.Cactus, quad.Cactus); err != nil {
+		t.Fatalf("chain merge vs matrix reference (λ=%d, n=%d): %v", kt.Lambda, g.NumVertices(), err)
+	}
 	return kt
+}
+
+// sameShape reports whether two cactuses of one cut family agree on
+// their node, cycle and tree-edge counts.
+func sameShape(a, b *Cactus) error {
+	if a.NumNodes != b.NumNodes || a.NumCycles != b.NumCycles || a.NumTreeEdges() != b.NumTreeEdges() {
+		return fmt.Errorf("cactus %v vs %v", a, b)
+	}
+	return nil
 }
 
 // TestDifferentialKTvsQuadratic is the scaled-up sweep: 1000+ instances
@@ -153,6 +168,19 @@ func TestDifferentialKTvsQuadratic(t *testing.T) {
 			}
 		}
 	}
+	// Cactus-shaped families: random cacti blown up into cliques, whose
+	// cycles and stars the merge reopens (rules (b) and (c)) under every
+	// adjacency order the permuted ids produce.
+	shaped := 300
+	if testing.Short() {
+		shaped = 30
+	}
+	for seed, added := uint64(1), 0; added < shaped; seed++ {
+		if g := cactusShaped(seed, 16); g != nil {
+			run(g, seed)
+			added++
+		}
+	}
 	// Larger KT-vs-quadratic-only instances beyond the oracle.
 	for seed := uint64(1); seed <= seeds/2; seed++ {
 		run(gen.ConnectedGNM(24+int(seed%10), 50+int(seed%20), seed*59), seed)
@@ -165,6 +193,61 @@ func TestDifferentialKTvsQuadratic(t *testing.T) {
 	}
 	t.Logf("differentially verified %d instances (KT vs quadratic%s)", count,
 		map[bool]string{true: "", false: " vs oracle where n ≤ 16"}[testing.Short()])
+}
+
+// cactusShaped returns a random graph whose minimum cuts are those of a
+// random cactus, or nil when it would exceed maxN vertices. It grows 1–5
+// structures, each a tree edge (40 %) or a cycle of 3–6 nodes, hung on a
+// random existing node; blows every node up into a clique of 1–3
+// vertices joined by weight-4 edges; realizes tree edges with weight 2
+// and cycle edges with weight 1 between random members; and permutes the
+// vertex ids. λ = 2: cutting a clique costs at least 4, and a cut of the
+// cactus crosses one tree edge or two edges of one cycle.
+func cactusShaped(seed uint64, maxN int) *graph.Graph {
+	rng := gen.NewRNG(seed)
+	type link struct {
+		a, b int
+		w    int64
+	}
+	var links []link
+	nodes := 1
+	for s, k := 0, 1+rng.Intn(5); s < k; s++ {
+		at := rng.Intn(nodes)
+		if rng.Intn(10) < 4 {
+			links = append(links, link{at, nodes, 2})
+			nodes++
+			continue
+		}
+		prev := at
+		for i, l := 1, 3+rng.Intn(4); i < l; i++ {
+			links = append(links, link{prev, nodes, 1})
+			prev = nodes
+			nodes++
+		}
+		links = append(links, link{prev, at, 1})
+	}
+	size, first, n := make([]int, nodes), make([]int, nodes), 0
+	for x := range size {
+		size[x], first[x] = 1+rng.Intn(3), n
+		n += size[x]
+	}
+	if n > maxN {
+		return nil
+	}
+	perm := rng.Perm(n)
+	b := graph.NewBuilder(n)
+	for x := range size {
+		for i := 0; i < size[x]; i++ {
+			for j := i + 1; j < size[x]; j++ {
+				b.AddEdge(perm[first[x]+i], perm[first[x]+j], 4)
+			}
+		}
+	}
+	member := func(x int) int32 { return perm[first[x]+rng.Intn(size[x])] }
+	for _, l := range links {
+		b.AddEdge(member(l.a), member(l.b), l.w)
+	}
+	return b.MustBuild()
 }
 
 // TestDifferentialRandomUnit cross-checks the KT pipeline against the

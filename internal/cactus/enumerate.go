@@ -15,7 +15,8 @@ import (
 
 // DefaultMaxCuts caps the number of enumerated minimum cuts; the theory
 // bounds them by n(n-1)/2, so the cap only guards degenerate inputs and
-// memory (each cut is materialized).
+// time (the cactus is built without materializing any cut, but
+// EachMinCut and Result.Cuts visit each one).
 const DefaultMaxCuts = 1 << 20
 
 // ErrTooManyCuts is wrapped by AllMinCuts when the number of minimum cuts
@@ -35,8 +36,8 @@ type Options struct {
 	Seed uint64
 	// Lambda, when positive, is trusted as the exact minimum-cut value and
 	// the λ computation is skipped. Passing a wrong value yields wrong
-	// results (a too-small value finds nothing; a too-large one is not a
-	// minimum-cut family and fails cactus construction).
+	// results (a too-small value finds nothing; a too-large one fails the
+	// KT enumeration, whose steps then find cuts below it).
 	Lambda int64
 	// MaxCuts caps the number of cuts (≤ 0 means DefaultMaxCuts).
 	// Exceeding it aborts with an error.
@@ -61,8 +62,8 @@ type PhaseTimings struct {
 	Kernelize time.Duration
 	// Enumerate is the sharded KT cut enumeration.
 	Enumerate time.Duration
-	// Assemble covers everything after enumeration: the canonical sort,
-	// cactus construction, the lift to original vertices, and cut
+	// Assemble covers everything after enumeration: merging the KT
+	// chains into the cactus, the lift to original vertices, and cut
 	// materialization.
 	Assemble time.Duration
 }
@@ -110,10 +111,19 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	return allMinCuts(ctx, g, opts, ktEnumerate)
 }
 
-// enumerator lists every minimum cut of the kernel kg as canonical
-// bitsets (the side not containing k0), failing with ErrTooManyCuts past
-// maxCuts. ktEnumerate is the only one outside tests.
-type enumerator func(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, maxCuts, workers int) ([]bitset, error)
+// enumerator lists every minimum cut of the kernel kg, failing with
+// ErrTooManyCuts past maxCuts. ktEnumerate is the only one outside tests.
+type enumerator func(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, maxCuts, workers int) (cutFamily, error)
+
+// cutFamily is an enumerated minimum-cut family of a kernel. The KT
+// chains are the only one outside tests; the tests' reference is a cut
+// list assembled by the bit-matrix builder.
+type cutFamily interface {
+	// size returns the number of cuts.
+	size() int
+	// cactus assembles the family's cactus over the kernel vertices.
+	cactus(lambda int64) (*Cactus, error)
+}
 
 // allMinCuts is AllMinCuts with the kernel enumeration as a parameter:
 // the seam through which tests run kernelization and assembly on the
@@ -176,76 +186,19 @@ func allMinCuts(ctx context.Context, g *graph.Graph, opts Options, enumerate enu
 		kg, labels = k.Graph, k.Labels
 		res.Phases.Kernelize = time.Since(start)
 	}
-	nk := kg.NumVertices()
-	res.KernelVertices = nk
-	k0 := labels[0]
+	res.KernelVertices = kg.NumVertices()
 
-	// Enumerate the kernel's minimum cuts as canonical bitsets (the side
-	// not containing k0).
 	start := time.Now()
-	kcuts, err := enumerate(ctx, kg, k0, lambda, maxCuts, workers)
+	family, err := enumerate(ctx, kg, labels[0], lambda, maxCuts, workers)
 	if err != nil {
 		return nil, err
 	}
 	res.Phases.Enumerate = time.Since(start)
-	res.Count = len(kcuts)
+	res.Count = family.size()
 
-	// Canonical kernel order (side size, then lexicographic) so the
-	// cactus is deterministic and identical for every enumerator and
-	// materialization setting. The size key is a counting sort (sizes
-	// are bounded by nk); only the per-size buckets need comparison
-	// sorting, which keeps every comparison single-key and lets the
-	// buckets sort across the workers.
+	// Cactus over the kernel, lifted to original vertices.
 	start = time.Now()
-	sizes := make([]int, len(kcuts))
-	maxSize := 0
-	for i, m := range kcuts {
-		sizes[i] = m.count()
-		if sizes[i] > maxSize {
-			maxSize = sizes[i]
-		}
-	}
-	offs := make([]int32, maxSize+2)
-	for _, s := range sizes {
-		offs[s+1]++
-	}
-	for s := 1; s < len(offs); s++ {
-		offs[s] += offs[s-1]
-	}
-	bounds := append([]int32(nil), offs...) // bucket s occupies perm[bounds[s]:bounds[s+1]]
-	perm := make([]int32, len(kcuts))
-	for i, s := range sizes {
-		perm[offs[s]] = int32(i)
-		offs[s]++
-	}
-	parallelBlocks(workers, maxSize+1, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			b := perm[bounds[s]:bounds[s+1]]
-			if len(b) < 2 {
-				continue
-			}
-			sort.Slice(b, func(x, y int) bool {
-				i, j := b[x], b[y]
-				for w := len(kcuts[i]) - 1; w >= 0; w-- {
-					if kcuts[i][w] != kcuts[j][w] {
-						return kcuts[i][w] < kcuts[j][w]
-					}
-				}
-				return false
-			})
-		}
-	})
-	sorted := make([]bitset, len(kcuts))
-	for a, i := range perm {
-		sorted[a] = kcuts[i]
-	}
-	kcuts = sorted
-
-	// Cactus over the kernel, lifted to original vertices. The assembly
-	// itself is worker-parallel (sharded bit-matrix transposes,
-	// per-crossing-class fan-out) with output identical for every
-	// worker count.
-	kc, err := buildCactus(nk, k0, kcuts, lambda, workers)
+	kc, err := family.cactus(lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -257,50 +210,48 @@ func allMinCuts(ctx context.Context, g *graph.Graph, opts Options, enumerate enu
 	res.Cactus = kc
 
 	if !opts.NoMaterialize {
-		res.Cuts = materialize(kcuts, labels, n)
+		res.Cuts = materialize(kc, res.Count)
 	}
 	res.Phases.Assemble = time.Since(start)
 	return res, nil
 }
 
-// materialize expands kernel cut bitsets to boolean sides over original
-// vertices, sorted deterministically (by side size, then
-// lexicographically) — canonical regardless of enumerator and of how far
-// the kernelization contracted.
-func materialize(kcuts []bitset, labels []int32, n int) [][]bool {
-	cuts := make([][]bool, len(kcuts))
-	sizes := make([]int, len(kcuts))
-	for i, m := range kcuts {
-		side := make([]bool, n)
-		size := 0
-		for v := 0; v < n; v++ {
-			side[v] = m.get(int(labels[v]))
-			if side[v] {
-				size++
+// materialize lists the count cuts the cactus encodes as boolean sides
+// over original vertices, sorted deterministically (by side size, then
+// lexicographically with false before true) — canonical regardless of
+// enumerator, cactus numbering, and how far the kernelization
+// contracted.
+func materialize(c *Cactus, count int) [][]bool {
+	type cut struct {
+		side []bool
+		size int
+	}
+	cuts := make([]cut, 0, count)
+	c.EachMinCut(func(side []bool) bool {
+		k := cut{side: append([]bool(nil), side...)}
+		for _, in := range side {
+			if in {
+				k.size++
 			}
 		}
-		cuts[i] = side
-		sizes[i] = size
-	}
-	order := make([]int, len(kcuts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if sizes[i] != sizes[j] {
-			return sizes[i] < sizes[j]
+		cuts = append(cuts, k)
+		return true
+	})
+	sort.Slice(cuts, func(a, b int) bool {
+		x, y := cuts[a], cuts[b]
+		if x.size != y.size {
+			return x.size < y.size
 		}
-		for v := 0; v < n; v++ {
-			if cuts[i][v] != cuts[j][v] {
-				return cuts[j][v]
+		for v := range x.side {
+			if x.side[v] != y.side[v] {
+				return y.side[v]
 			}
 		}
 		return false
 	})
-	sorted := make([][]bool, len(order))
-	for a, i := range order {
-		sorted[a] = cuts[i]
+	sides := make([][]bool, len(cuts))
+	for i, k := range cuts {
+		sides[i] = k.side
 	}
-	return sorted
+	return sides
 }

@@ -34,10 +34,12 @@ func decodeEdges(data []byte) (int, []graph.Edge) {
 // FuzzAllMinCuts is the differential fuzz target for the cut
 // enumeration: the Karzanov–Timofeev recursion (run with its step
 // sharding active via Workers > 1) and the per-vertex Picard–Queyranne
-// reference must agree on λ, on the number of minimum cuts, and on the
-// cut-set fingerprint (canonical masks) for every graph the decoder can
-// build; a sequential KT run must reproduce the sharded cut list
-// exactly, and each cactus must re-encode exactly the enumerated family.
+// reference must agree on λ, on the number of minimum cuts, on the
+// cut-set fingerprint (canonical masks) and on the cactus shape
+// (NumNodes, NumCycles, NumTreeEdges: the chain merge against the
+// bit-matrix reference) for every graph the decoder can build; a
+// sequential KT run must reproduce the sharded cut list exactly, and
+// each cactus must re-encode exactly the enumerated family.
 // Run with `go test -fuzz FuzzAllMinCuts ./internal/cactus`.
 func FuzzAllMinCuts(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 2, 0, 1, 2, 2, 0, 2, 3, 2, 0, 3, 4, 2, 0, 4, 5, 2, 0, 5, 0, 2, 0})
@@ -104,7 +106,12 @@ func FuzzAllMinCuts(f *testing.F) {
 				t.Fatalf("quadratic cut missing from KT fingerprint set")
 			}
 		}
-		// Both cactuses must re-encode exactly the enumerated family.
+		// The chain merge (KT) and the matrix reference (quadratic) must
+		// build the same normal-form cactus, and both must re-encode
+		// exactly the enumerated family.
+		if err := sameShape(kt.Cactus, quad.Cactus); err != nil {
+			t.Fatalf("chain merge vs matrix reference: %v", err)
+		}
 		for name, res := range map[string]*Result{"KT": kt, "quadratic": quad} {
 			if res.Cactus == nil {
 				t.Fatalf("%s: nil cactus for connected graph", name)

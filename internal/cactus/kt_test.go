@@ -3,6 +3,7 @@ package cactus
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,5 +92,40 @@ func TestKTSuppliedLambda(t *testing.T) {
 	// inconsistency instead of returning garbage.
 	if _, err := AllMinCuts(context.Background(), g, Options{Lambda: 3}); err == nil {
 		t.Fatal("λ=3 on C_12 must fail, got nil error")
+	}
+}
+
+// TestKTTooSmallLambda pins the other wrong-λ direction: a supplied λ
+// below the minimum finds no cut, and may first contract the whole
+// kernel into one vertex, which leaves the enumeration no step to run.
+func TestKTTooSmallLambda(t *testing.T) {
+	res := mustAll(t, gen.Ring(6), Options{Lambda: 1})
+	if res.Count != 0 || res.Cactus.NumNodes != 1 {
+		t.Fatalf("C_6 with supplied λ=1: %d cuts, %v; want none and one node", res.Count, res.Cactus)
+	}
+}
+
+// TestAllMinCutsAllocs is the allocation regression test of the chain
+// merge. On the unit 512-ring (130 816 cuts) the former assembly
+// allocated 93.1 MiB in 410 241 mallocs: one bitset per cut, their
+// bit-matrix transposes, and ChainCuts' per-step buffers. Recording the
+// chains as parts and merging them must stay under a tenth of both; a
+// return of any of those per-cut or per-step allocations trips it.
+func TestAllMinCutsAllocs(t *testing.T) {
+	g := gen.Ring(512)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := mustAll(t, g, Options{Workers: 1, NoMaterialize: true})
+	runtime.ReadMemStats(&after)
+	if res.Count != 512*511/2 {
+		t.Fatalf("C_512: %d cuts, want %d", res.Count, 512*511/2)
+	}
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("C_512 AllMinCuts: %.2f MiB in %d mallocs", float64(bytes)/(1<<20), mallocs)
+	const maxBytes, maxMallocs = 9_762_242, 41_024 // a tenth of 93.1 MiB and of 410 241
+	if bytes > maxBytes || mallocs > maxMallocs {
+		t.Fatalf("C_512 AllMinCuts allocated %d bytes in %d mallocs, want at most %d and %d",
+			bytes, mallocs, maxBytes, maxMallocs)
 	}
 }

@@ -33,8 +33,9 @@ func mustAllWith(t *testing.T, g *graph.Graph, opts Options, enumerate enumerato
 // Picard–Queyranne enumeration per target, fanned out over workers, finds
 // them all; each cut is found once per far-side vertex and deduplicated
 // in a shared canonical-mask set. Cost is one from-scratch max flow per
-// kernel vertex plus O(Σ|side|) = O(C·n) rediscoveries.
-func enumerateQuadratic(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, maxCuts, workers int) ([]bitset, error) {
+// kernel vertex plus O(Σ|side|) = O(C·n) rediscoveries. The family is
+// assembled by the bit-matrix reference (build_test.go).
+func enumerateQuadratic(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, maxCuts, workers int) (cutFamily, error) {
 	nk := kg.NumVertices()
 	var (
 		mu       sync.Mutex
@@ -105,5 +106,5 @@ func enumerateQuadratic(ctx context.Context, kg *graph.Graph, k0 int32, lambda i
 	for _, m := range cutSet {
 		kcuts = append(kcuts, m)
 	}
-	return kcuts, nil
+	return &cutList{nk: nk, k0: k0, cuts: kcuts, workers: workers}, nil
 }

@@ -56,11 +56,15 @@ type Progressive struct {
 
 	// ChainCuts scratch, reused across steps (one KT run calls ChainCuts
 	// up to n-1 times; without reuse each call allocates its reachability
-	// sets, stack, and emit buffer afresh).
-	fromS []bool
-	toT   []bool
-	stack []int32
-	side  []bool
+	// sets, residual condensation, member lists and emit buffer afresh).
+	fromS  []bool
+	toT    []bool
+	stack  []int32
+	side   []bool
+	scc    sccScratch
+	state  []int8
+	memOff []int32 // free component c's members are mem[memOff[c]:memOff[c+1]]
+	mem    []int32
 }
 
 // NewProgressive builds the shared residual network of g with root as the
@@ -159,15 +163,15 @@ func (p *Progressive) MaxFlowTo(ctx context.Context, t int32, cap int64) (int64,
 
 // ChainCuts lists every minimum source-set/t cut of the current residual
 // state as a nested chain, smallest t-side first. emit receives the
-// t-side (the side containing t, disjoint from the source set) as a
-// reused buffer it must not retain, plus the vertices ADDED to the side
-// since the previous emission — nil for the first cut of the chain, the
-// members of one residual SCC afterwards (the chain grows monotonically,
-// one component per cut). Callers materializing the cuts can therefore
-// derive each one incrementally from its predecessor in O(|added|)
-// instead of rescanning the whole side; returning false stops early. It
-// must be called after MaxFlowTo(t, cap) returned a value ≤ cap (an
-// exact max flow). The number of cuts emitted is returned.
+// t-side (the side containing t, disjoint from the source set) plus the
+// vertices ADDED to the side since the previous emission — nil for the
+// first cut of the chain, the members of one residual SCC afterwards
+// (the chain grows monotonically, one component per cut). Both are
+// reused buffers emit must not retain. Callers recording the chain can
+// therefore store each cut as the part it adds, in O(|added|), instead
+// of rescanning the whole side; returning false stops early. It must be
+// called after MaxFlowTo(t, cap) returned a value ≤ cap (an exact max
+// flow). The number of cuts emitted is returned.
 //
 // An error is returned if the residual structure is not a chain — which
 // for a correct KT step (target adjacent to the source set, cut value
@@ -184,8 +188,10 @@ func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) 
 	p.toT, p.stack = nw.reach(p.toT, p.stack, []int32{t}, 1)
 	toT := p.toT
 
-	scc, nscc := residualSCC(nw)
-	state := make([]int8, nscc)
+	scc, nscc := residualSCC(nw, &p.scc)
+	state := grow(p.state, nscc)
+	clear(state)
+	p.state = state
 	for v := 0; v < n; v++ {
 		switch {
 		case fromS[v]:
@@ -201,7 +207,7 @@ func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) 
 		}
 	}
 
-	succ, order := freeSCCDAG(nw, scc, state, nscc)
+	succ, order := freeSCCDAG(nw, scc, state, nscc, &p.scc)
 	if len(order) != nfree {
 		return 0, fmt.Errorf("flow: residual free components contain a cycle (%d of %d ordered)", len(order), nfree)
 	}
@@ -223,15 +229,29 @@ func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) 
 		}
 	}
 
-	// Vertices per free SCC, so the sweep below adds each component in
-	// O(|component|).
-	members := make([][]int32, nscc)
-	for v := int32(0); v < int32(n); v++ {
-		c := scc[v]
-		if state[c] == sccFree {
-			members[c] = append(members[c], v)
+	// Vertices per free SCC, bucketed by a counting sort, so the sweep
+	// below adds each component in O(|component|).
+	off := grow(p.memOff, nscc+1)
+	clear(off)
+	for v := 0; v < n; v++ {
+		if c := scc[v]; state[c] == sccFree {
+			off[c+1]++
 		}
 	}
+	for c := 0; c < nscc; c++ {
+		off[c+1] += off[c]
+	}
+	mem := grow(p.mem, int(off[nscc]))
+	for v := int32(0); v < int32(n); v++ {
+		if c := scc[v]; state[c] == sccFree {
+			mem[off[c]] = v
+			off[c]++
+		}
+	}
+	// off[c] now ends component c; shift back to starts.
+	copy(off[1:], off[:nscc])
+	off[0] = 0
+	p.memOff, p.mem = off, mem
 
 	// Sweep: t-sides are the forbidden set plus each prefix of the free
 	// chain (the s-side is successor-closed, so its complement grows along
@@ -246,11 +266,12 @@ func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) 
 		return count, nil
 	}
 	for _, c := range order {
-		for _, v := range members[c] {
+		added := mem[off[c]:off[c+1]]
+		for _, v := range added {
 			side[v] = true
 		}
 		count++
-		if !emit(side, members[c]) {
+		if !emit(side, added) {
 			return count, nil
 		}
 	}

@@ -139,7 +139,8 @@ func (e *STEnum) prepare() {
 		return
 	}
 	e.prepared = true
-	e.scc, e.nscc = residualSCC(e.nw)
+	var sc sccScratch
+	e.scc, e.nscc = residualSCC(e.nw, &sc)
 
 	e.state = make([]int8, e.nscc)
 	fromS, stack := e.nw.reach(nil, nil, []int32{e.s}, 0)
@@ -153,7 +154,36 @@ func (e *STEnum) prepare() {
 		}
 	}
 
-	e.succ, e.order = freeSCCDAG(e.nw, e.scc, e.state, e.nscc)
+	e.succ, e.order = freeSCCDAG(e.nw, e.scc, e.state, e.nscc, &sc)
+}
+
+// sccScratch holds the buffers of residualSCC and freeSCCDAG. The KT
+// recursion condenses the residual graph once per step, so
+// Progressive keeps one and reuses it across steps; STEnum, which
+// condenses once, passes a fresh one. The slices returned by both
+// functions alias it and are valid until its next use.
+type sccScratch struct {
+	index, low, comp []int32
+	onStack          []bool
+	stack            []int32
+	frames           []sccFrame
+	seen, indeg      []int32
+	succ             [][]int32
+	order            []int32
+}
+
+type sccFrame struct {
+	v   int32
+	arc int32 // position within nw.arcs(v)
+}
+
+// grow returns s resliced to length n, reallocated only when its
+// capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // freeSCCDAG builds the successor lists of the free residual SCCs (edges
@@ -162,13 +192,15 @@ func (e *STEnum) prepare() {
 // and their Kahn topological order. Shared by STEnum.prepare and
 // Progressive.ChainCuts so the reference enumeration and the KT chain
 // extraction classify the residual structure identically.
-func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int32, order []int32) {
-	seen := make([]int32, nscc)
+func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int, sc *sccScratch) (succ [][]int32, order []int32) {
+	seen := grow(sc.seen, nscc)
+	indeg := grow(sc.indeg, nscc)
+	succ = grow(sc.succ, nscc)
 	for i := range seen {
 		seen[i] = -1
+		indeg[i] = 0
+		succ[i] = succ[i][:0]
 	}
-	succ = make([][]int32, nscc)
-	indeg := make([]int32, nscc)
 	for v := int32(0); v < int32(nw.n); v++ {
 		cv := scc[v]
 		if state[cv] != sccFree {
@@ -187,7 +219,7 @@ func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int3
 			indeg[cw]++
 		}
 	}
-	order = make([]int32, 0, nscc)
+	order = sc.order[:0]
 	for c := int32(0); c < int32(nscc); c++ {
 		if state[c] == sccFree && indeg[c] == 0 {
 			order = append(order, c)
@@ -201,37 +233,35 @@ func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int3
 			}
 		}
 	}
+	sc.seen, sc.indeg, sc.succ, sc.order = seen, indeg, succ, order
 	return succ, order
 }
 
 // residualSCC computes the strongly connected components of the residual
 // graph (arcs with positive residual capacity) with an iterative Tarjan
 // scan. Components are numbered in reverse topological order.
-func residualSCC(nw *network) ([]int32, int) {
+func residualSCC(nw *network, sc *sccScratch) ([]int32, int) {
 	n := nw.n
 	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	comp := make([]int32, n)
-	onStack := make([]bool, n)
+	index := grow(sc.index, n)
+	low := grow(sc.low, n)
+	comp := grow(sc.comp, n)
+	onStack := grow(sc.onStack, n)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
+		onStack[i] = false
 	}
-	var stack []int32
+	stack := sc.stack[:0]
+	frames := sc.frames[:0]
 	next := int32(0)
 	nscc := 0
 
-	type frame struct {
-		v   int32
-		arc int32 // position within nw.arcs(v)
-	}
-	var frames []frame
 	for root := int32(0); root < int32(n); root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames = append(frames[:0], frame{v: root})
+		frames = append(frames[:0], sccFrame{v: root})
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
@@ -252,7 +282,7 @@ func residualSCC(nw *network) ([]int32, int) {
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{v: w})
+					frames = append(frames, sccFrame{v: w})
 					advanced = true
 					break
 				} else if onStack[w] && index[w] < low[f.v] {
@@ -284,5 +314,6 @@ func residualSCC(nw *network) ([]int32, int) {
 			}
 		}
 	}
+	sc.index, sc.low, sc.comp, sc.onStack, sc.stack, sc.frames = index, low, comp, onStack, stack, frames
 	return comp, nscc
 }
