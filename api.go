@@ -249,8 +249,8 @@ type AllCuts = cactus.Result
 // are visited in an adjacency order, one shared residual network carries
 // the flow across steps, each step augments to at most λ and reads its
 // minimum cuts off as a nested chain. The steps shard across
-// AllCutsOptions.Workers, each worker walking a contiguous segment of
-// the adjacency order on its own residual network. The chains are
+// AllCutsOptions.Workers: each worker claims the next step from one
+// shared counter and runs it on its own residual network. The chains are
 // merged into the Dinitz–Karzanov–Lomonosov cactus, in which every
 // minimum cut is the removal of one tree edge or of two edges of one
 // cycle, by replaying them last step first and splitting one cactus

@@ -130,13 +130,13 @@
 // cuts of each step form a nested chain read off the residual
 // strongly-connected components — every cut found exactly once,
 // O(n·m)-flavored overall. The steps shard across
-// AllCutsOptions.Workers: each worker walks a contiguous segment of the
-// adjacency order on its own residual network with the segment's prefix
-// pre-absorbed as its contracted source, and the per-segment chains
-// concatenate in step order, so the output is identical for every
-// worker count. The cactus is built from those chains directly: replayed
-// last step first, each chain splits one cactus node into a path, so
-// no cut is materialized and no two cuts are compared.
+// AllCutsOptions.Workers: each worker claims the next step from one
+// shared counter and runs it on its own residual network, absorbing the
+// targets of the steps it skipped into its contracted source first, and
+// the chains are kept in step order, so the output is identical for
+// every worker count. The cactus is built from those chains directly:
+// replayed last step first, each chain splits one cactus node into a
+// path, so no cut is materialized and no two cuts are compared.
 // AllCutsOptions.NoMaterialize skips the Θ(C·n) materialized cut list;
 // stream the cuts with Cactus.EachMinCut instead (cmd/mincut -all does
 // this by default). EachMinCut walks the cactus with O(n) auxiliary

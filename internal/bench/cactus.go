@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,20 +17,24 @@ import (
 
 // CactusMeasurement is one all-minimum-cuts timing: an instance, the
 // worker count, and the resulting cut family statistics with the
-// enumerate/assemble phase split and the bytes allocated. The collected
-// slice is the BENCH_cactus.json baseline tracking the cactus subsystem
-// across changes.
+// enumerate/assemble phase split and the bytes allocated. Each timing
+// and alloc_mb is the median of rowSeeds runs with consecutive seeds,
+// taken field by field, and q1_ms and q3_ms are the quartiles of the
+// total. The collected slice is the BENCH_cactus.json baseline tracking
+// the cactus subsystem across changes.
 type CactusMeasurement struct {
 	Instance string `json:"instance"`
 	N        int    `json:"n"`
 	M        int    `json:"m"`
 	// Workers is the worker bound the row ran with (the KT enumeration
 	// shards its steps across them).
-	Workers int     `json:"workers"`
-	Lambda  int64   `json:"lambda"`
-	Cuts    int     `json:"cuts"`
-	Kernel  int     `json:"kernel_vertices"`
-	Millis  float64 `json:"ms"`
+	Workers  int     `json:"workers"`
+	Lambda   int64   `json:"lambda"`
+	Cuts     int     `json:"cuts"`
+	Kernel   int     `json:"kernel_vertices"`
+	Millis   float64 `json:"ms"`
+	Q1Millis float64 `json:"q1_ms"`
+	Q3Millis float64 `json:"q3_ms"`
 	// LambdaMillis, KernelizeMillis, EnumerateMillis and AssembleMillis
 	// split Millis into the pipeline's phases (cactus.PhaseTimings): the
 	// λ solve, the all-cuts kernelization, the cut enumeration and the
@@ -38,8 +43,8 @@ type CactusMeasurement struct {
 	KernelizeMillis float64 `json:"kernelize_ms"`
 	EnumerateMillis float64 `json:"enumerate_ms"`
 	AssembleMillis  float64 `json:"assemble_ms"`
-	// AllocMB is the heap the kept rep allocated (runtime.MemStats
-	// TotalAlloc), in MB.
+	// AllocMB is the heap a run allocated (runtime.MemStats TotalAlloc),
+	// in MB.
 	AllocMB float64 `json:"alloc_mb"`
 }
 
@@ -92,7 +97,7 @@ func cactusInstances(s Scale) []cactusInstance {
 // ring).
 func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 	header(w, "cactus: all minimum cuts (KT)")
-	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "lambda_ms", "kern_ms", "enum_ms", "asm_ms", "ms", "alloc_mb")
+	row(w, "instance", "n", "m", "workers", "lambda", "cuts", "kernel", "lambda_ms", "kern_ms", "enum_ms", "asm_ms", "ms", "q1_ms", "q3_ms", "alloc_mb")
 	workerCounts := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workerCounts = append(workerCounts, p)
@@ -107,15 +112,14 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 			break
 		}
 		for _, workers := range workerCounts {
-			best := time.Duration(1<<63 - 1)
 			var res *cactus.Result
-			var alloc uint64
-			for rep := 0; rep < s.Reps; rep++ {
+			var total, lam, kern, enum, asm, alloc [rowSeeds]float64
+			for i := range rowSeeds {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				start := time.Now()
 				r, err := cactus.AllMinCuts(context.Background(), inst.g, cactus.Options{
-					Seed: s.Seed + uint64(rep), Workers: workers, NoMaterialize: true, MaxCuts: inst.maxCuts,
+					Seed: s.Seed + uint64(i), Workers: workers, NoMaterialize: true, MaxCuts: inst.maxCuts,
 				})
 				d := time.Since(start)
 				runtime.ReadMemStats(&after)
@@ -124,13 +128,19 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 					res = nil
 					break
 				}
-				if d < best {
-					best, res, alloc = d, r, after.TotalAlloc-before.TotalAlloc
-				}
+				res = r
+				total[i], alloc[i] = millis(d), float64(after.TotalAlloc-before.TotalAlloc)/1e6
+				lam[i], kern[i] = millis(r.Phases.Lambda), millis(r.Phases.Kernelize)
+				enum[i], asm[i] = millis(r.Phases.Enumerate), millis(r.Phases.Assemble)
 			}
 			if res == nil {
 				continue
 			}
+			for _, xs := range [][]float64{total[:], lam[:], kern[:], enum[:], asm[:], alloc[:]} {
+				slices.Sort(xs)
+			}
+			// Five sorted samples: the median is the third, the quartiles
+			// the second and fourth.
 			m := CactusMeasurement{
 				Instance:        inst.name,
 				N:               inst.g.NumVertices(),
@@ -139,17 +149,22 @@ func CactusBench(w io.Writer, s Scale, only string) []CactusMeasurement {
 				Lambda:          res.Lambda,
 				Cuts:            res.Count,
 				Kernel:          res.KernelVertices,
-				Millis:          float64(best.Microseconds()) / 1000,
-				LambdaMillis:    float64(res.Phases.Lambda.Microseconds()) / 1000,
-				KernelizeMillis: float64(res.Phases.Kernelize.Microseconds()) / 1000,
-				EnumerateMillis: float64(res.Phases.Enumerate.Microseconds()) / 1000,
-				AssembleMillis:  float64(res.Phases.Assemble.Microseconds()) / 1000,
-				AllocMB:         float64(alloc) / 1e6,
+				Millis:          total[2],
+				Q1Millis:        total[1],
+				Q3Millis:        total[3],
+				LambdaMillis:    lam[2],
+				KernelizeMillis: kern[2],
+				EnumerateMillis: enum[2],
+				AssembleMillis:  asm[2],
+				AllocMB:         alloc[2],
 			}
 			out = append(out, m)
 			row(w, m.Instance, m.N, m.M, m.Workers, m.Lambda, m.Cuts, m.Kernel,
-				m.LambdaMillis, m.KernelizeMillis, m.EnumerateMillis, m.AssembleMillis, m.Millis, m.AllocMB)
+				m.LambdaMillis, m.KernelizeMillis, m.EnumerateMillis, m.AssembleMillis, m.Millis, m.Q1Millis, m.Q3Millis, m.AllocMB)
 		}
 	}
 	return out
 }
+
+// millis converts d to milliseconds at microsecond resolution.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -214,8 +214,8 @@ func Table1(w io.Writer, s Scale) {
 
 // ParCutMeasurement is one ParCutλ̂-BQueue timing of the VieCut ablation:
 // an instance, its minimum degree δ and minimum cut λ, the worker count,
-// whether VieCut ran, and the median and quartiles of parCutSeeds
-// solves with consecutive seeds. The collected slice is the
+// whether VieCut ran, and the median and quartiles of rowSeeds solves
+// with consecutive seeds. The collected slice is the
 // BENCH_parcut.json baseline.
 type ParCutMeasurement struct {
 	Instance string  `json:"instance"`
@@ -230,10 +230,10 @@ type ParCutMeasurement struct {
 	Q3Millis float64 `json:"q3_ms"`
 }
 
-// parCutSeeds is the number of solves behind each ParCutMeasurement.
-// Five samples have exact quartiles: the second, third and fourth
-// smallest.
-const parCutSeeds = 5
+// rowSeeds is the number of runs, with consecutive seeds, behind each
+// ParCutMeasurement and CactusMeasurement. Five samples have exact
+// quartiles: the second, third and fourth smallest.
+const rowSeeds = 5
 
 // Ablation quantifies the paper's §4.2 mechanism claims: priority-queue
 // traffic saved by the λ̂ bound, and the geometric-mean speedups of the
@@ -327,7 +327,7 @@ func Ablation(w io.Writer, s Scale) []ParCutMeasurement {
 
 // parCutVieCutTable times ParCutλ̂-BQueue with VieCut and with
 // DisableVieCut on the k-core and scaling instances, at one worker and at
-// GOMAXPROCS workers, each row over parCutSeeds seeds. It panics if two
+// GOMAXPROCS workers, each row over rowSeeds seeds. It panics if two
 // solves of an instance disagree on λ.
 func parCutVieCutTable(w io.Writer, s Scale, cores []CoreInstance) []ParCutMeasurement {
 	instances := make([]Instance, 0, len(cores))
@@ -353,7 +353,7 @@ func parCutVieCutTable(w io.Writer, s Scale, cores []CoreInstance) []ParCutMeasu
 			var lambda int64
 			for _, vieCut := range []bool{true, false} {
 				a := ParallelAlgo(pq.KindBQueue, workers, !vieCut)
-				ms := make([]float64, parCutSeeds)
+				ms := make([]float64, rowSeeds)
 				for i := range ms {
 					m := Time(inst.Name, inst.G, a, 1, s.Seed+uint64(i))
 					ms[i] = float64(m.Elapsed.Microseconds()) / 1000

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -56,15 +57,24 @@ func BenchmarkCactusBuild(b *testing.B) {
 }
 
 // BenchmarkKTEnumerate times the enumeration alone (shared residual
-// network, per-step chains) against the quadratic per-vertex reference.
+// network, per-step chains) against the quadratic per-vertex reference,
+// which runs on the small cases only. The star of cycles puts nearly all chain work in a few steps; the
+// ring-of-cliques kernel is what perfbench's allcuts workload enumerates.
 func BenchmarkKTEnumerate(b *testing.B) {
+	kern, err := core.KernelizeAllCuts(context.Background(), gen.RingOfCliques(512, 16), 2, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		g      *graph.Graph
+		k0     int32
 		lambda int64
 	}{
-		{"ring_96", gen.Ring(96), 2},
-		{"gnm_128_256", gen.ConnectedGNM(128, 256, 9), 0},
+		{"ring_96", gen.Ring(96), 0, 2},
+		{"gnm_128_256", gen.ConnectedGNM(128, 256, 9), 0, 0},
+		{"starofcycles_16_64", gen.StarOfCycles(16, 64), 0, 2},
+		{"ringcliques_512_16_kernel", kern.Graph, kern.Labels[0], 2},
 	}
 	for _, tc := range cases {
 		lambda := tc.lambda
@@ -77,21 +87,26 @@ func BenchmarkKTEnumerate(b *testing.B) {
 		}
 		b.Run(tc.name+"/kt", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ktEnumerate(context.Background(), tc.g, 0, lambda, DefaultMaxCuts, 1); err != nil {
+				if _, err := ktEnumerate(context.Background(), tc.g, tc.k0, lambda, DefaultMaxCuts, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(tc.name+"/kt_parallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ktEnumerate(context.Background(), tc.g, 0, lambda, DefaultMaxCuts, 4); err != nil {
+				if _, err := ktEnumerate(context.Background(), tc.g, tc.k0, lambda, DefaultMaxCuts, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		if tc.g.NumVertices() > 128 {
+			// The reference takes 2.3 s on the star of cycles and 93 s on
+			// the ring-of-cliques kernel (2-core Xeon).
+			continue
+		}
 		b.Run(tc.name+"/quadratic", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := enumerateQuadratic(context.Background(), tc.g, 0, lambda, DefaultMaxCuts, 1); err != nil {
+				if _, err := enumerateQuadratic(context.Background(), tc.g, tc.k0, lambda, DefaultMaxCuts, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

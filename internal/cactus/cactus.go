@@ -14,9 +14,10 @@
 //     (flow.Progressive) augmented per step with a λ cap, per-step cuts
 //     read off as nested chains, each global minimum cut found exactly
 //     once (at most n(n-1)/2 of them, by Dinitz–Karzanov–Lomonosov);
-//     the steps shard across Options.Workers, one Progressive per
-//     worker segment with the segment's prefix pre-absorbed, and each
-//     chain is recorded as the parts it splits the kernel into;
+//     the steps shard across Options.Workers, each worker claiming the
+//     next step from one shared counter and running it on its own
+//     Progressive, and each chain is recorded, under its step, as the
+//     parts it splits the kernel into;
 //  4. cactus construction by merging the chains (ktChains.cactus), last
 //     step first: each step splits the root's node into a path, in O(n)
 //     and with no cut materialized or compared, and the result is

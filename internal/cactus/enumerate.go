@@ -27,8 +27,8 @@ var ErrTooManyCuts = errors.New("too many minimum cuts")
 // Options configures AllMinCuts.
 type Options struct {
 	// Workers bounds the parallelism of the kernelization and of the cut
-	// enumeration (≤ 0 means GOMAXPROCS): the KT enumeration shards the
-	// adjacency-order steps into contiguous segments, one
+	// enumeration (≤ 0 means GOMAXPROCS): the KT workers claim the
+	// adjacency-order steps one at a time from a shared counter, one
 	// flow.Progressive per worker. Results are identical for every
 	// worker count.
 	Workers int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -31,29 +30,30 @@ import (
 // side's earliest-ordered vertex is v_i appears in step i and in no
 // other, so no deduplication is needed.
 //
-// The steps shard across workers with SEGMENT-LEVEL WORK STEALING: each
-// step's cut chain depends only on the graph and the (prefix, v_i) pair
-// — not on the flow state some earlier step left behind — so any
-// contiguous step range [lo, hi) can run on its own Progressive with
-// order[1:lo] pre-absorbed as the contracted source prefix. The range
-// starts as one even segment per worker; an idle worker then steals the
-// upper half of the largest remaining segment (ktScheduler), so one
-// skewed segment (star-of-cycles kernels put nearly all chain work in a
-// few steps) does not serialize the tail. Segments are kept in step
-// order, and each step's chain is independent of how the segments were
-// carved, so the chains are the same for every worker count and every
-// steal schedule; one worker runs one segment. Each worker keeps ONE
-// Progressive and one chainLog across all the segments it processes: a
-// segment starting at or beyond the absorbed source prefix extends it
-// with AbsorbSources, and a segment starting before it rewinds the same
-// allocations with Reset — no per-segment network rebuild either way.
+// The steps shard across workers through one shared counter, from which
+// each worker claims the next step. A step's cut chain depends only on
+// the graph and its (prefix, v_i) pair, not on the flow state earlier
+// steps left behind, so a worker runs only the steps it claims: it
+// builds its Progressive on its first claim and, before each step,
+// absorbs the targets it skipped into the source set. Claims only
+// increase, so a worker's absorbed prefix never passes its next target
+// and nothing is rewound. Each worker records its steps in its own
+// chainLog and files each step's record under the step's index, so the
+// chains come out in step order, the same for every worker count and
+// every schedule.
 //
-// Cost: one network build and nk-1 λ-capped augmentation rounds divided
-// across the workers (each round O(λ̄) augmenting paths of O(m) plus an
-// O(m) SCC sweep, totalling the O(n·m)-flavored bound of Karzanov and
-// Timofeev), O(nk) per step to record its chain, and one extra network
-// build (or Progressive rewind) plus one from-scratch λ-capped flow per
-// stolen segment.
+// A failed step stops its worker, and the others skip only the steps
+// above the lowest failed one. Every lower step still runs, so a step
+// that fails whenever it runs (a cut below a wrong λ, a family that is
+// not a chain) is reported exactly as a one-worker run reports it. The
+// cut cap is one count across all workers: its error names no step, but
+// which step reaches it first depends on the schedule.
+//
+// Cost: one network build per worker and nk-1 λ-capped augmentation
+// rounds divided across the workers (each round O(λ̄) augmenting paths
+// of O(m) plus an O(m) SCC sweep, totalling the O(n·m)-flavored bound of
+// Karzanov and Timofeev), O(nk) per step to record its chain, and O(nk)
+// per worker to absorb the steps it skips.
 func ktEnumerate(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, maxCuts, workers int) (cutFamily, error) {
 	nk := kg.NumVertices()
 	order := adjacencyOrder(kg, k0)
@@ -63,91 +63,52 @@ func ktEnumerate(ctx context.Context, kg *graph.Graph, k0 int32, lambda int64, m
 	if nk < 2 { // a too-small supplied λ can contract the kernel to one vertex
 		return &ktChains{nk: nk}, nil
 	}
-	nsteps := nk - 1
-	workers = min(max(workers, 1), nsteps)
-	nsegs := min(max(nsteps/ktMinChunkSteps, 1), workers)
-	sched := &ktScheduler{active: make([]ktSegmentState, workers)}
-	// Pushed in reverse so the LIFO pop hands segments out in step order.
-	for c := nsegs - 1; c >= 0; c-- {
-		sched.pending = append(sched.pending, ktSegment{
-			lo: 1 + c*nsteps/nsegs, hi: 1 + (c+1)*nsteps/nsegs,
-		})
-	}
-
-	type stepError struct {
-		step int
-		err  error
-	}
+	workers = min(max(workers, 1), nk-1)
+	segs := make([]chainSeg, nk) // segs[i] is step i's record
+	errs := make([]error, nk)    // errs[i] is step i's failure
 	var (
-		resMu sync.Mutex
-		segs  []chainSeg
-		errs  []stepError
-		count atomic.Int64
-		stop  atomic.Bool
-		wg    sync.WaitGroup
+		next   atomic.Int64 // the last claimed step
+		failed atomic.Int64 // the lowest failed step, nk while none has
+		count  atomic.Int64
+		wg     sync.WaitGroup
 	)
-	fail := func(step int, err error) {
-		resMu.Lock()
-		errs = append(errs, stepError{step, err})
-		resMu.Unlock()
-		stop.Store(true)
-	}
-	for w := 0; w < workers; w++ {
+	failed.Store(int64(nk))
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			var p *flow.Progressive
 			log := newChainLog(nk)
-			absorbed := 0 // source set is order[:absorbed]
+			absorbed := 1 // p's source set is order[:absorbed]
 			for {
-				seg, ok := sched.claim(w)
-				if !ok {
+				i := int(next.Add(1))
+				if i >= nk || int64(i) > failed.Load() {
 					return
 				}
 				if p == nil {
 					p = flow.NewProgressive(kg, order[0])
-					absorbed = 1
-				} else if seg.lo < absorbed {
-					p.Reset(order[0])
-					absorbed = 1
 				}
-				p.AbsorbSources(order[absorbed:seg.lo])
-				absorbed = seg.lo
-				first := len(log.steps)
-				for i := seg.lo; ; {
-					if stop.Load() {
-						sched.abort(w)
-						return
+				p.AbsorbSources(order[absorbed:i])
+				absorbed = i
+				lo := len(log.steps)
+				if err := ktStep(ctx, p, log, order, i, lambda, maxCuts, &count); err != nil {
+					errs[i] = err
+					for f := failed.Load(); int64(i) < f; f = failed.Load() {
+						if failed.CompareAndSwap(f, int64(i)) {
+							break
+						}
 					}
-					if absorbed < i {
-						p.AbsorbSource(order[i-1])
-						absorbed = i
-					}
-					if err := ktStep(ctx, p, log, order, i, lambda, maxCuts, &count); err != nil {
-						fail(i, err)
-						sched.abort(w)
-						return
-					}
-					next, more := sched.advance(w)
-					if !more {
-						break
-					}
-					i = next
+					return
 				}
-				resMu.Lock()
-				segs = append(segs, chainSeg{log: log, first: seg.lo, lo: first, hi: len(log.steps)})
-				resMu.Unlock()
+				segs[i] = chainSeg{log: log, lo: lo, hi: len(log.steps)}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	// The earliest step's error wins so the reported failure matches a
-	// one-worker run regardless of the steal schedule.
-	if len(errs) > 0 {
-		sort.Slice(errs, func(i, j int) bool { return errs[i].step < errs[j].step })
-		return nil, errs[0].err
+	if f := failed.Load(); f < int64(nk) {
+		return nil, errs[f]
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
+	segs = slices.DeleteFunc(segs, func(s chainSeg) bool { return s.lo == s.hi })
 	return &ktChains{nk: nk, segs: segs, count: int(count.Load())}, nil
 }
 
@@ -162,11 +123,10 @@ type ktChains struct {
 
 func (c *ktChains) size() int { return c.count }
 
-// chainSeg is the recorded steps [lo, hi) of log: one segment of the
-// enumeration, starting at KT step first.
+// chainSeg is the recorded steps [lo, hi) of log: the record of one KT
+// step that found cuts.
 type chainSeg struct {
 	log    *chainLog
-	first  int
 	lo, hi int
 }
 
@@ -181,7 +141,7 @@ type chainSeg struct {
 // smallest, so no part costs more than one materialized cut would, and
 // the parts of a step are disjoint, so a step costs O(nk) words at
 // most. A step whose flow exceeds λ records nothing. The slices only
-// grow, so a worker reuses one log across all its segments.
+// grow, so a worker reuses one log across all its steps.
 type chainLog struct {
 	words int // bitset width in words
 	steps []chainStep
@@ -274,97 +234,10 @@ func (l *chainLog) eachVertex(k int, fn func(part, v int32)) int32 {
 	return int32(end - st.parts)
 }
 
-// ktMinChunkSteps floors the steps-per-segment of the sharded
-// enumeration: below it the O(m) per-segment network build (or rewind)
-// dominates the λ-capped augmentation the segment actually performs.
-// Stealing keeps both halves of a split at or above this floor.
-const ktMinChunkSteps = 8
-
-// ktSegment is a contiguous range [lo, hi) of KT steps.
-type ktSegment struct{ lo, hi int }
-
-// ktSegmentState is the live view of one worker's claimed segment: pos
-// is the step it is currently executing, hi the exclusive bound. A
-// thief shrinks hi under the scheduler lock; the victim observes the
-// new bound at its next advance.
-type ktSegmentState struct {
-	pos     int
-	hi      int
-	claimed bool
-}
-
-// ktScheduler hands the KT steps out as splittable segments: claim pops
-// a pending segment if any remain, and otherwise steals the upper half
-// of the largest remaining claimed range. All state is guarded by one
-// mutex — a KT step is a λ-capped max-flow round, so the per-step lock
-// is noise next to the work it schedules.
-type ktScheduler struct {
-	mu      sync.Mutex
-	pending []ktSegment
-	active  []ktSegmentState
-}
-
-// claim hands worker w its next segment, stealing if the pending list
-// is empty. It returns false when no segment remains and every active
-// segment is too short to split — the remaining tail is then at most
-// 2·ktMinChunkSteps steps per surviving worker.
-func (s *ktScheduler) claim(w int) (ktSegment, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.pending); n > 0 {
-		seg := s.pending[n-1]
-		s.pending = s.pending[:n-1]
-		s.active[w] = ktSegmentState{pos: seg.lo, hi: seg.hi, claimed: true}
-		return seg, true
-	}
-	best, bestRem := -1, 2*ktMinChunkSteps-1
-	for i := range s.active {
-		a := &s.active[i]
-		if !a.claimed || i == w {
-			continue
-		}
-		// Steps strictly after the one the victim is executing.
-		if rem := a.hi - a.pos - 1; rem > bestRem {
-			best, bestRem = i, rem
-		}
-	}
-	if best < 0 {
-		return ktSegment{}, false
-	}
-	victim := &s.active[best]
-	seg := ktSegment{lo: victim.hi - bestRem/2, hi: victim.hi}
-	victim.hi = seg.lo
-	s.active[w] = ktSegmentState{pos: seg.lo, hi: seg.hi, claimed: true}
-	return seg, true
-}
-
-// advance records that worker w finished its current step and returns
-// the next step of its segment, or false when the segment — possibly
-// shrunk by thieves since the last call — is exhausted.
-func (s *ktScheduler) advance(w int) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := &s.active[w]
-	a.pos++
-	if a.pos >= a.hi {
-		a.claimed = false
-		return 0, false
-	}
-	return a.pos, true
-}
-
-// abort releases worker w's segment without finishing it (error or
-// sibling-failure shutdown), so thieves stop seeing it as splittable.
-func (s *ktScheduler) abort(w int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.active[w].claimed = false
-}
-
 // ktStep runs KT step i — target order[i] against the contracted prefix
 // order[:i], which must already be p's source set — and records the
-// step's cut chain in log. count is the cross-segment cut counter
-// enforcing maxCuts.
+// step's cut chain in log. count is the cut counter, shared by all
+// workers, that enforces maxCuts.
 func ktStep(ctx context.Context, p *flow.Progressive, log *chainLog, order []int32, i int, lambda int64, maxCuts int, count *atomic.Int64) error {
 	nk := len(order)
 	t := order[i]

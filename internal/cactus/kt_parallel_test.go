@@ -1,6 +1,9 @@
 package cactus
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -45,8 +48,8 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 
 // TestKTParallelMatchesSequential sweeps the differential generators and
 // requires Workers: 1 and Workers: 4 KT runs to agree cut-for-cut: the
-// sharded enumeration concatenates per-chunk chains in step order, so
-// the cut list — not just the cut set — must be identical.
+// sharded enumeration keeps every step's chain in step order, so the
+// cut list — not just the cut set — must be identical.
 func TestKTParallelMatchesSequential(t *testing.T) {
 	seeds := uint64(24)
 	if testing.Short() {
@@ -77,8 +80,7 @@ func TestKTParallelMatchesSequential(t *testing.T) {
 			run("gnm_weighted", g, seed)
 		}
 	}
-	// Rings: the Θ(n²)-cut worst case, the shard sizes straddling the
-	// sequential-fallback threshold (2·ktMinChunkSteps) on both sides.
+	// Rings: the Θ(n²)-cut worst case, from a dozen steps to 63.
 	for _, n := range []int{12, 15, 17, 24, 40, 64} {
 		run("ring", gen.Ring(n), uint64(n))
 	}
@@ -117,6 +119,86 @@ func TestKTDeterministicAcrossWorkerCounts(t *testing.T) {
 		for _, w := range []int{2, 3, 8, 1 << 10} {
 			got := mustAll(t, tc.g, Options{Workers: w})
 			sameResult(t, tc.name, ref, got)
+		}
+	}
+}
+
+// TestKTErrorMatchesOneWorker pins which failure a wrong λ reports. The
+// fixture is K_41 without vertices 5 and 21, plus vertex 5 joined to 0,
+// 1 and 2 and vertex 21 joined to 0, 1, 2 and 3. Its BFS order from 0
+// is the identity, so under a supplied λ of 10 step 5 finds a cut of
+// value 3 and step 21 one of value 4, and the clique steps between them
+// are quick. Every worker count must report step 5's error, as one
+// worker does: a failure at step 21 may not stop step 5 from running.
+func TestKTErrorMatchesOneWorker(t *testing.T) {
+	const n = 41
+	b := graph.NewBuilder(n)
+	for u := int32(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if u != 5 && u != 21 && v != 5 && v != 21 {
+				b.AddEdge(u, v, 1)
+			}
+		}
+	}
+	for _, u := range []int32{0, 1, 2} {
+		b.AddEdge(5, u, 1)
+	}
+	for _, u := range []int32{0, 1, 2, 3} {
+		b.AddEdge(21, u, 1)
+	}
+	g := b.MustBuild()
+	if order := adjacencyOrder(g, 0); order[5] != 5 || order[21] != 21 {
+		t.Fatalf("vertices 5 and 21 are steps %d and %d of the BFS order, want 5 and 21", order[5], order[21])
+	}
+	const want = "cactus: KT step found a cut of value 3 below λ=10 (wrong Options.Lambda?)"
+	for _, workers := range []int{1, 2, 3, 8} {
+		for run := 0; run < 100; run++ {
+			_, err := ktEnumerate(context.Background(), g, 0, 10, DefaultMaxCuts, workers)
+			if err == nil || err.Error() != want {
+				t.Fatalf("workers %d, run %d: got error %v, want %q", workers, run, err, want)
+			}
+		}
+	}
+}
+
+// countdownCtx is a context whose Err reports context.Canceled from its
+// k-th call onward, so a test can cancel at a chosen poll with no sleeps.
+type countdownCtx struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKTCancelMidEnumeration cancels ktEnumerate halfway through its
+// context polls, all of which happen inside KT steps. The call must
+// return an error wrapping context.Canceled, and no worker may start
+// more than one step after the cancellation: each step polls at most
+// twice once the context is cancelled, so a worker adds at most four
+// polls, two for the step it is in and two for one step it claimed
+// before any worker recorded the failure.
+func TestKTCancelMidEnumeration(t *testing.T) {
+	g := gen.Ring(256)
+	all := &countdownCtx{Context: context.Background(), k: 1 << 62}
+	if _, err := ktEnumerate(all, g, 0, 2, DefaultMaxCuts, 1); err != nil {
+		t.Fatal(err)
+	}
+	polls := all.calls.Load()
+	for _, workers := range []int{1, 2, 4} {
+		ctx := &countdownCtx{Context: context.Background(), k: polls / 2}
+		fam, err := ktEnumerate(ctx, g, 0, 2, DefaultMaxCuts, workers)
+		if !errors.Is(err, context.Canceled) || fam != nil {
+			t.Fatalf("workers %d, cancelled at poll %d of %d: got %v, %v; want an error wrapping context.Canceled",
+				workers, ctx.k, polls, fam, err)
+		}
+		if extra := ctx.calls.Load() - ctx.k; extra > int64(4*workers) {
+			t.Errorf("workers %d: %d polls after the cancellation, want at most %d", workers, extra, 4*workers)
 		}
 	}
 }

@@ -86,10 +86,11 @@ type Result struct {
 }
 
 // Run performs one sequential CAPFOREST scan of g, marking contractible
-// edges in u. bound is the current upper bound λ̂ (> 0). The scan covers
-// every vertex, restarting at an arbitrary unvisited vertex whenever the
-// frontier empties (so disconnected remainders still lower the bound,
-// yielding α = 0 across completed components).
+// edges in u. bound is the current upper bound λ̂ (> 0). The scan grows
+// from one start vertex and covers every vertex of a connected graph. On
+// a disconnected one the frontier empties once the scanned set is a
+// union of whole components; α is then 0, below every bound, so the scan
+// stops there with Bound 0 and the scanned set as its witness.
 func Run(g *graph.Graph, u *dsu.DSU, bound int64, opts Options) Result {
 	n := g.NumVertices()
 	res := Result{Bound: bound}
@@ -126,29 +127,10 @@ func Run(g *graph.Graph, u *dsu.DSU, bound int64, opts Options) Result {
 	}
 
 	rng := splitmix(opts.Seed)
-	cursor := 0
-	nextUnvisited := func() int32 {
-		for cursor < n && visited[cursor] {
-			cursor++
-		}
-		if cursor < n {
-			return int32(cursor)
-		}
-		return -1
-	}
-
 	var alpha int64
 	start := int32(rng() % uint64(n))
 	q.Push(start, 0)
-	for {
-		if q.Empty() {
-			v := nextUnvisited()
-			if v < 0 {
-				break
-			}
-			q.Push(v, 0)
-			continue
-		}
+	for !q.Empty() {
 		if res.Stats.Pops&ctxCheckMask == 0 && cancelled(opts.Ctx) {
 			res.Order = order
 			return res

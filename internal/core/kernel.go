@@ -47,27 +47,9 @@ func KernelizeAllCuts(ctx context.Context, g *graph.Graph, lambda int64, workers
 	if n < 3 || lambda <= 0 {
 		return k, ctx.Err()
 	}
-	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: lambda + 1, Ctx: ctx}
-	cur := g
-	for cur.NumVertices() > 2 {
-		if err := ctx.Err(); err != nil {
-			k.Graph = cur
-			return k, err
-		}
-		k.Rounds++
-		seed++
-		opts.Seed = seed
-		mapping, blocks := certifyRound(cur, workers, opts)
-		if blocks == cur.NumVertices() {
-			break // fixpoint: no edge certified above λ
-		}
-		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
-		for i := range k.Labels {
-			k.Labels[i] = mapping[k.Labels[i]]
-		}
-	}
-	k.Graph = cur
-	return k, ctx.Err()
+	var err error
+	k.Graph, k.Rounds, err = contractCertified(ctx, g, lambda+1, 2, workers, seed, k.Labels, nil)
+	return k, err
 }
 
 // CertifyConnectivity attempts to certify that the local edge
@@ -99,26 +81,45 @@ func CertifyConnectivity(ctx context.Context, g *graph.Graph, u, v int32, thresh
 	if n < 2 || threshold <= 0 {
 		return threshold <= 0, ctx.Err()
 	}
+	pair := []int32{u, v}
+	_, _, err := contractCertified(ctx, g, threshold, 1, workers, seed, pair, func(p []int32) bool { return p[0] == p[1] })
+	if pair[0] == pair[1] {
+		return true, nil
+	}
+	return false, err
+}
+
+// contractCertified contracts g in rounds of fixed-threshold CAPFOREST
+// (certifyRound) and returns the contracted graph, the number of rounds
+// and ctx.Err(). Each round contracts every pair it certifies and maps
+// labels, vertices of g on entry, to their blocks. Rounds stop at a
+// fixpoint, at floor vertices or fewer, or as soon as joined, when
+// non-nil, reports true of the mapped labels; that round's contraction
+// is then skipped, as the caller reads only labels. Cancellation is
+// checked before each round.
+func contractCertified(ctx context.Context, g *graph.Graph, threshold int64, floor, workers int, seed uint64, labels []int32, joined func([]int32) bool) (*graph.Graph, int, error) {
 	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: threshold, Ctx: ctx}
-	cur := g
-	cu, cv := u, v // the pair's images in the contracted graph
-	for cur.NumVertices() >= 2 {
+	cur, rounds := g, 0
+	for cur.NumVertices() > floor {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return cur, rounds, err
 		}
+		rounds++
 		seed++
 		opts.Seed = seed
 		mapping, blocks := certifyRound(cur, workers, opts)
-		if mapping[cu] == mapping[cv] {
-			return true, nil
-		}
 		if blocks == cur.NumVertices() {
-			return false, nil // fixpoint: inconclusive
+			break // fixpoint: nothing certified
+		}
+		for i, l := range labels {
+			labels[i] = mapping[l]
+		}
+		if joined != nil && joined(labels) {
+			break
 		}
 		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
-		cu, cv = mapping[cu], mapping[cv]
 	}
-	return false, ctx.Err()
+	return cur, rounds, ctx.Err()
 }
 
 // certifyRound runs one CAPFOREST scan at the fixed threshold

@@ -92,3 +92,39 @@ func TestKernelDegenerate(t *testing.T) {
 		t.Fatalf("ring kernel contracted to %d vertices; no edge is certified above λ", k.Graph.NumVertices())
 	}
 }
+
+// TestCertifyConnectivity is a known-answer table for the deletion
+// probe on two K_6 joined by the bridge {5, 6} (λ = 1), at the threshold
+// Snapshot.Apply asks for when deleting a unit edge, λ+w+1 = 3. A pair
+// u = v is certified outright; a clique edge has connectivity 5 and is
+// certified; the bridge has connectivity 1, so no sound certificate
+// exists and the probe stays inconclusive.
+func TestCertifyConnectivity(t *testing.T) {
+	b := graph.NewBuilder(12)
+	for c := int32(0); c < 12; c += 6 {
+		for u := c; u < c+6; u++ {
+			for v := u + 1; v < c+6; v++ {
+				b.AddEdge(u, v, 1)
+			}
+		}
+	}
+	b.AddEdge(5, 6, 1)
+	g := b.MustBuild()
+	cases := []struct {
+		name string
+		u, v int32
+		want bool
+	}{
+		{"same vertex", 3, 3, true},
+		{"clique edge", 0, 1, true},
+		{"bridge", 5, 6, false},
+	}
+	for _, tc := range cases {
+		for seed := uint64(1); seed <= 8; seed++ {
+			got, err := CertifyConnectivity(context.Background(), g, tc.u, tc.v, 3, 0, seed)
+			if err != nil || got != tc.want {
+				t.Fatalf("%s {%d,%d}, seed %d: got %v, %v; want %v", tc.name, tc.u, tc.v, seed, got, err, tc.want)
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@ import (
 //
 // Two facts make this sound:
 //
-//   - after AbsorbSource the previous target joins the source set, and the
+//   - after AbsorbSources the previous target joins the source set, and the
 //     old flow — which conserved at every vertex outside the old source
 //     set and target — still conserves at every vertex outside the new
 //     source set; its net value into a fresh target is zero, so the value
@@ -39,11 +39,11 @@ import (
 //
 // Progressive instances are NOT safe for concurrent use, but independent
 // instances over the same graph are: the sharded KT enumeration
-// (internal/cactus) runs one Progressive per worker, each seeded with a
-// different contracted prefix via AbsorbSources, and the per-step cut
-// families are identical to the sequential run — the minimum cuts
-// between a source set and a target are a property of the graph, not of
-// the flow history that certified them.
+// (internal/cactus) runs one Progressive per worker, and each absorbs
+// the targets of the steps other workers ran before its next step. The
+// per-step cut families are identical to the sequential run: the minimum
+// cuts between a source set and a target are a property of the graph,
+// not of the flow history that certified them.
 type Progressive struct {
 	nw       *network
 	inSource []bool
@@ -86,56 +86,20 @@ func NewProgressive(g *graph.Graph, root int32) *Progressive {
 	return p
 }
 
-// Reset restores p to the state of a fresh NewProgressive(g, root)
-// while reusing every allocation — the residual arrays, the Dinic
-// scratch, and the ChainCuts buffers. The two residual capacities of an
-// arc pair always sum to twice the edge capacity (pushing flow moves
-// residual between them), so the zero-flow state is recovered in one
-// pass with no reference to the graph. Sharded KT enumeration uses it
-// when a worker steals a segment whose prefix is SHORTER than the
-// source set it has already absorbed: the worker rewinds its
-// Progressive instead of rebuilding the network.
-func (p *Progressive) Reset(root int32) {
-	res := p.nw.res
-	for a := 0; a < len(res); a += 2 {
-		half := (res[a] + res[a+1]) / 2
-		res[a] = half
-		res[a+1] = half
-	}
-	for i := range p.inSource {
-		p.inSource[i] = false
-	}
-	p.sources = p.sources[:0]
-	if root < 0 || int(root) >= p.nw.n {
-		panic(fmt.Sprintf("flow: progressive root %d out of range [0,%d)", root, p.nw.n))
-	}
-	p.inSource[root] = true
-	p.sources = append(p.sources, root)
-}
-
-// AbsorbSource merges v into the source set (the KT prefix contraction).
-// The flow pushed so far remains feasible: conservation was already
-// satisfied at every vertex outside the old source set and the old
-// target, and absorbing only removes constraints.
-func (p *Progressive) AbsorbSource(v int32) {
-	if p.inSource[v] {
-		return
-	}
-	p.inSource[v] = true
-	p.sources = append(p.sources, v)
-}
-
-// AbsorbSources merges every vertex of vs into the source set. It is the
-// bulk form of AbsorbSource used by sharded KT enumeration: a worker
-// handling steps [lo, hi) of the adjacency order absorbs the whole
-// prefix order[1:lo] up front and then steps through its segment exactly
-// like the sequential recursion. Absorbing never pushes flow, so a fresh
-// Progressive with a pre-absorbed prefix reaches the same per-step
-// max-flow values (and therefore the same per-step cut chains) as one
-// that augmented its way through the prefix.
+// AbsorbSources merges the vertices of vs into the source set (the KT
+// prefix contraction). Absorbing drops conservation constraints and
+// pushes no flow, so the flow pushed so far stays feasible and the next
+// MaxFlowTo starts from a zero net flow into its fresh target. A
+// Progressive that absorbs several targets at once, as a KT worker does
+// for the steps other workers ran, therefore reaches the same per-step
+// max-flow values, and the same per-step cut chains, as one that
+// augmented its way through each of them.
 func (p *Progressive) AbsorbSources(vs []int32) {
 	for _, v := range vs {
-		p.AbsorbSource(v)
+		if !p.inSource[v] {
+			p.inSource[v] = true
+			p.sources = append(p.sources, v)
+		}
 	}
 }
 

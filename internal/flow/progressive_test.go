@@ -63,7 +63,7 @@ func TestProgressiveMatchesScratchFlows(t *testing.T) {
 			p := NewProgressive(g, 0)
 			for i := 1; i < n; i++ {
 				if i > 1 {
-					p.AbsorbSource(order[i-1])
+					p.AbsorbSources(order[i-1 : i])
 				}
 				tgt := order[i]
 				cg, labels := contractPrefix(g, order, i)
@@ -86,7 +86,7 @@ func TestProgressiveCapAborts(t *testing.T) {
 	if v, _ := p.MaxFlowTo(context.Background(), 1, 2); v <= 2 {
 		t.Fatalf("capped flow reported %d, want > 2", v)
 	}
-	p.AbsorbSource(1)
+	p.AbsorbSources([]int32{1})
 	// S={0,1} vs vertex 2 in K_6: the minimum cut isolates {2} (5 unit
 	// edges). The aborted step must not have corrupted the residual state.
 	if v, _ := p.MaxFlowTo(context.Background(), 2, 100); v != 5 {
@@ -107,7 +107,7 @@ func TestProgressiveChainMatchesSTEnum(t *testing.T) {
 			p := NewProgressive(g, 0)
 			for i := 1; i < n; i++ {
 				if i > 1 {
-					p.AbsorbSource(order[i-1])
+					p.AbsorbSources(order[i-1 : i])
 				}
 				tgt := order[i]
 				v, _ := p.MaxFlowTo(context.Background(), tgt, lambda)
