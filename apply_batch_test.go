@@ -3,8 +3,12 @@ package mincut
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/verify"
@@ -12,10 +16,11 @@ import (
 
 // Apply keeps one pending delta and rebuilds the CSR only before a
 // certification probe, before a delete that follows a queued insert, and
-// at the end. The tests below pin that rule and check that a batch
-// applied at once, one mutation at a time, and on a snapshot with no
-// certificates all reach the same graph and certify only what a fresh
-// solve confirms.
+// at the end. The tests below pin that rule, check the adjacency-list
+// bound that replaces most probes against exact s-t cuts, and check that
+// a batch applied at once, one mutation at a time, and on a snapshot
+// with no certificates all reach the same graph and certify only what a
+// fresh solve confirms.
 
 // warmSnapshot computes both cached certificates of s.
 func warmSnapshot(tb testing.TB, s *Snapshot) {
@@ -133,7 +138,7 @@ func applyThreeWays(tb testing.TB, s *Snapshot, batch []Mutation) (*Snapshot, Re
 			tb.Fatalf("%s batch %v: %d rebuilds for %d probes, want at most %d", c.name, batch, c.r.Rebuilds, c.r.CertifyCalls, bound)
 		}
 	}
-	if rCold.Lambda || rCold.Cactus || rCold.CertifyCalls > 0 {
+	if rCold.Lambda || rCold.Cactus || rCold.CertifyCalls > 0 || rCold.LocalCerts > 0 {
 		tb.Fatalf("certificate-free snapshot reported %+v", rCold)
 	}
 	checkCarried(tb, "batched", ns)
@@ -141,18 +146,41 @@ func applyThreeWays(tb testing.TB, s *Snapshot, batch []Mutation) (*Snapshot, Re
 	return ns, r, nil
 }
 
-// TestApplyBatchRebuildsBeforeProbes is the known answer for the
-// rebuild rule: with certificates warm on two K8 joined by two unit
-// bridges (λ = 2), deleting three clique edges and re-inserting them
-// runs three probes, all of which certify, and rebuilds the CSR before
-// the second and third probe and once at the end. Rebuilding after
-// every mutation cost six.
+// bridgedBicliques builds two K4,4 blocks, {0..3}×{4..7} and
+// {8..11}×{12..15}, joined by the unit bridge (0,8): λ = 1. The graph has
+// no triangles, so the adjacency-list bound certifies no delete, while
+// every block edge has λ(u,v) = 4.
+func bridgedBicliques(tb testing.TB) *Graph {
+	tb.Helper()
+	b := NewBuilder(16)
+	for base := int32(0); base < 16; base += 8 {
+		for i := base; i < base+4; i++ {
+			for j := base + 4; j < base+8; j++ {
+				b.AddEdge(i, j, 1)
+			}
+		}
+	}
+	b.AddEdge(0, 8, 1)
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestApplyBatchRebuildsBeforeProbes is the known answer for the probe
+// path: with certificates warm on two K4,4 joined by a bridge, deleting
+// three block edges on disjoint endpoints and re-inserting them finds no
+// common neighbour (the bound is 0 < λ+1 = 2), while every endpoint keeps
+// c(u)−w = 3 > λ. So each delete runs a probe, all of which certify, and
+// the CSR is rebuilt before the second and third probe and once at the
+// end.
 func TestApplyBatchRebuildsBeforeProbes(t *testing.T) {
-	s := NewSnapshot(twoCliques(t, 8), SnapshotOptions{})
+	s := NewSnapshot(bridgedBicliques(t), SnapshotOptions{})
 	warmSnapshot(t, s)
 	batch := []Mutation{
-		DeleteEdge(2, 3), DeleteEdge(4, 5), DeleteEdge(10, 11),
-		InsertEdge(2, 3, 1), InsertEdge(4, 5, 1), InsertEdge(10, 11, 1),
+		DeleteEdge(1, 5), DeleteEdge(2, 6), DeleteEdge(9, 13),
+		InsertEdge(1, 5, 1), InsertEdge(2, 6, 1), InsertEdge(9, 13, 1),
 	}
 	ns, r, err := applyThreeWays(t, s, batch)
 	if err != nil {
@@ -164,6 +192,115 @@ func TestApplyBatchRebuildsBeforeProbes(t *testing.T) {
 	}
 	if !graph.Equal(ns.Graph(), s.Graph()) {
 		t.Fatal("deleting and re-inserting the same edges changed the graph")
+	}
+}
+
+// TestApplySkipsDoomedProbe: in two K4 joined by two bridges (λ = 2), an
+// inner edge {2,3} has c(2)−w = 2 ≤ λ, so λ(2,3) < λ+w+1 and no probe
+// could certify it. Apply runs none and takes the failed-probe branch:
+// with the cactus cached, w = 1 keeps λ and the witness; with λ alone,
+// everything is dropped.
+func TestApplySkipsDoomedProbe(t *testing.T) {
+	ctx := context.Background()
+	g := twoCliques(t, 4)
+	if ok, err := core.CertifyConnectivity(ctx, g, 2, 3, 4, 0, 1); err != nil || ok {
+		t.Fatalf("a probe certified λ(2,3) ≥ 4 (err %v); the skip would lose a certificate", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		cactus bool
+		want   Reused
+	}{
+		{"cactus cached", true, Reused{Lambda: true, Rebuilds: 1}},
+		{"lambda only", false, Reused{Rebuilds: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSnapshot(g, SnapshotOptions{})
+			if _, err := s.MinCut(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if tc.cactus {
+				if _, err := s.AllMinCuts(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, r, err := applyThreeWays(t, s, []Mutation{DeleteEdge(2, 3)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != tc.want {
+				t.Fatalf("reused = %+v, want %+v", r, tc.want)
+			}
+		})
+	}
+}
+
+// TestTriangleBoundSound walks random batches on small weighted graphs
+// with a pending delta, rebuilding it before a delete that follows an
+// insert, as Apply does, and at random points, as before a probe. At
+// every delete it checks the weight and degrees read through the
+// pending delta, and its triangle sum, against the graph built cold at
+// that position, and that the edge's weight plus that sum never exceeds
+// the exact λ(u,v).
+func TestTriangleBoundSound(t *testing.T) {
+	ctx := context.Background()
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		rng := gen.NewRNG(uint64(trial) + 7)
+		n := 4 + rng.Intn(9)
+		g := gen.GNMWeighted(n, n+rng.Intn(3*n), 4, uint64(trial))
+		edges := map[[2]int32]int64{}
+		for _, e := range g.Edges() {
+			edges[[2]int32{e.U, e.V}] = e.Weight
+		}
+		pend := newPendingDelta(g)
+		for _, m := range randomBatch(rng, g, 24) {
+			key := pairOf(m.U, m.V)
+			switch {
+			case m.U == m.V:
+				continue
+			case m.Op == MutInsert:
+				pend.ins = append(pend.ins, Edge{U: m.U, V: m.V, Weight: m.Weight})
+				edges[key] += m.Weight
+				continue
+			case edges[key] == 0:
+				continue // a missing edge, which Apply rejects
+			}
+			if len(pend.ins) > 0 || rng.Intn(4) == 0 {
+				if err := pend.rebuild(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			list := make([]Edge, 0, len(edges))
+			for p, w := range edges {
+				if w > 0 {
+					list = append(list, Edge{U: p[0], V: p[1], Weight: w})
+				}
+			}
+			cold := graph.MustFromEdges(n, list)
+			w := pend.weight(m.U, m.V)
+			if w != edges[key] || pend.degree(m.U) != cold.WeightedDegree(m.U) || pend.degree(m.V) != cold.WeightedDegree(m.V) {
+				t.Fatalf("trial %d: pending delta reads c(%d,%d)=%d, c(u)=%d, c(v)=%d; cold graph %d, %d, %d", trial, m.U, m.V,
+					w, pend.degree(m.U), pend.degree(m.V), edges[key], cold.WeightedDegree(m.U), cold.WeightedDegree(m.V))
+			}
+			exact, _, err := flow.MinSTCut(ctx, cold, m.U, m.V)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := pend.triangles(m.U, m.V, math.MaxInt64)
+			if coldSum := newPendingDelta(cold).triangles(m.U, m.V, math.MaxInt64); sum != coldSum {
+				t.Fatalf("trial %d: delete (%d,%d): triangle sum %d through the pending delta, %d on the cold graph", trial, m.U, m.V, sum, coldSum)
+			}
+			if w+sum > exact {
+				t.Fatalf("trial %d: delete (%d,%d): bound %d exceeds λ(u,v) = %d", trial, m.U, m.V, w+sum, exact)
+			}
+			checked++
+			pend.remove(m.U, m.V, w)
+			edges[key] = 0
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d deletes checked", checked)
 	}
 }
 
@@ -376,4 +513,56 @@ func decodeApplyBatch(data []byte) (*Graph, []Mutation) {
 		}
 	}
 	return g, batch
+}
+
+// BenchmarkApplyWarmDeletes applies warm batches to the largest
+// component of RHG(2¹³, 32, 5, seed 7) (n 8 192, m 130 403) with λ
+// cached: k deletes of ordinary edges (both endpoints at or above the
+// median degree, as in perfbench's write stream), and 64 [delete e,
+// insert e] pairs. It reports the probes and rebuilds per batch.
+func BenchmarkApplyWarmDeletes(b *testing.B) {
+	g, _ := gen.RHG(1<<13, 32, 5, 7).LargestComponent()
+	s := NewSnapshot(g, SnapshotOptions{})
+	if _, err := s.MinCut(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	hist := g.DegreeHistogram()
+	median := hist[len(hist)/2]
+	var ordinary []Edge
+	for _, e := range g.Edges() {
+		if min(g.Degree(e.U), g.Degree(e.V)) >= median {
+			ordinary = append(ordinary, e)
+		}
+	}
+	rng := gen.NewRNG(3)
+	pick := func(k int) []Edge {
+		out := make([]Edge, 0, k)
+		for _, i := range rng.Perm(len(ordinary))[:k] {
+			out = append(out, ordinary[i])
+		}
+		return out
+	}
+	run := func(b *testing.B, batch []Mutation) {
+		var r Reused
+		for i := 0; i < b.N; i++ {
+			var err error
+			if _, r, err = s.Apply(context.Background(), batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(r.CertifyCalls), "probes/op")
+		b.ReportMetric(float64(r.Rebuilds), "rebuilds/op")
+	}
+	for _, k := range []int{8, 64, 256} {
+		var batch []Mutation
+		for _, e := range pick(k) {
+			batch = append(batch, DeleteEdge(e.U, e.V))
+		}
+		b.Run(fmt.Sprintf("deletes=%d", k), func(b *testing.B) { run(b, batch) })
+	}
+	var pairs []Mutation
+	for _, e := range pick(64) {
+		pairs = append(pairs, DeleteEdge(e.U, e.V), InsertEdge(e.U, e.V, e.Weight))
+	}
+	b.Run("pairs=64", func(b *testing.B) { run(b, pairs) })
 }

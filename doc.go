@@ -46,15 +46,19 @@
 //     witness cut the new edge does not cross, but drops the cactus (the
 //     cut family shrinks to the cuts not crossed by the new edge);
 //   - a deleted edge changes λ only if it crosses a minimum cut of the
-//     new graph. Apply first tries to certify connectivity λ+w+1 between
-//     the endpoints (a few CAPFOREST rounds, no full solve); on success
-//     everything carries over. Failing that, if the deleted edge provably
-//     crosses a cached minimum cut, the new value is exactly λ−w: cuts
-//     separating the endpoints lose exactly w, all others keep weight
-//     ≥ λ, so Apply carries λ−w with a separating cached cut as witness
-//     (Reused.DeleteReuses counts these) and drops only the cactus. Only
-//     when neither argument applies are the certificates dropped and the
-//     next query recomputes.
+//     new graph. If it provably crosses a cached minimum cut, the new
+//     value is exactly λ−w: cuts separating the endpoints lose exactly
+//     w, all others keep weight ≥ λ, so Apply carries λ−w with a
+//     separating cached cut as witness (Reused.DeleteReuses counts
+//     these) and drops only the cactus. Otherwise everything carries
+//     over once connectivity λ+w+1 between the endpoints is certified:
+//     first from their two adjacency lists, where the edge and the
+//     two-hop paths through common neighbours are edge-disjoint
+//     (Reused.LocalCerts counts these), and only when that falls short
+//     and the endpoints' degrees leave room, by a CAPFOREST probe (a few
+//     rounds, no full solve; Reused.CertifyCalls). Only when neither
+//     argument applies are the certificates dropped and the next query
+//     recomputes.
 //
 // Apply validates the whole batch before touching any certificate:
 // out-of-range vertex ids, non-positive insert weights, self-loop
@@ -100,9 +104,13 @@
 // and weight arrays); internal/graph exports the raw view as Graph.CSR
 // and every hot scan — CAPFOREST, Dinic residual construction, the KT
 // chain extraction, Stoer–Wagner's MA ordering, label propagation —
-// iterates the flat arrays directly. Apply rebuilds the CSR from the
-// delta in O(m + k log k) for a k-mutation batch rather than
-// re-normalizing the full edge list. A real-instance corpus
+// iterates the flat arrays directly. Every adjacency list is sorted by
+// neighbour id. Apply queues a batch in one pending delta and patches
+// the CSR before a probe, before a delete that follows a queued insert,
+// and once at the end: runs of untouched vertices are copied in bulk and
+// only the touched vertices' lists are merged with their sorted changes:
+// one O(n + m) copy, plus O(k log k) and the touched vertices' degrees
+// for k mutations. A real-instance corpus
 // (internal/datasets: small vendored graphs such as the karate club,
 // each with its pinned size and λ) is solved by every exact solver in
 // the tests, and the mincutd CI smokes serve it.

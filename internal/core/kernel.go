@@ -65,7 +65,8 @@ func KernelizeAllCuts(ctx context.Context, g *graph.Graph, lambda int64, workers
 // edge {u,v} of weight w from a graph with minimum cut λ provably
 // preserves the entire minimum-cut family when λ(u,v) ≥ λ+w+1, because
 // every cut separating u and v then stays strictly above λ after losing
-// w.
+// w. Apply runs it only when u's and v's adjacency lists alone do not
+// prove that bound.
 //
 // workers ≤ 0 means GOMAXPROCS; only graphs large enough to amortize the
 // parallel scan use more than one. Cancellation is checked per round and

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -17,14 +18,17 @@ import (
 // result must fit in int64. Deleting and inserting the same pair in one
 // delta replaces the edge (the delete removes the old weight first).
 //
-// The rebuild is a single linear merge of g's sorted edge stream with the
-// sorted insert list — O(m + k log k) for k inserts — followed by the
-// same counting-pass CSR assembly as FromEdges, skipping FromEdges' full
-// sort of all m+k edges.
+// The rebuild patches g's CSR instead of re-assembling it: each run of
+// vertices the delta does not touch is copied in bulk, and each touched
+// vertex's neighbour-sorted list is merged with its sorted changes. For
+// k changes it costs one O(n + m) copy plus O(k log k + Σ deg) for the
+// touched vertices, and the result is the graph FromEdges would build.
 func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 	n := g.NumVertices()
 
 	del := make(map[uint64]bool, len(deletes))
+	arcs := make([]arcChange, 0, 2*(len(deletes)+len(inserts)))
+	var delTotal int64
 	for _, d := range deletes {
 		u, v := d[0], d[1]
 		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
@@ -40,10 +44,13 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 		if del[key] {
 			return nil, fmt.Errorf("graph: edge (%d,%d) deleted twice", u, v)
 		}
-		if !g.HasEdge(u, v) {
+		w := g.EdgeWeight(u, v)
+		if w == 0 {
 			return nil, fmt.Errorf("graph: delete (%d,%d): no such edge", u, v)
 		}
 		del[key] = true
+		delTotal += w
+		arcs = append(arcs, arcChange{from: u, to: v, del: true}, arcChange{from: v, to: u, del: true})
 	}
 
 	// Normalize and aggregate the inserts, exactly like FromEdges.
@@ -82,58 +89,103 @@ func ApplyDelta(g *Graph, inserts []Edge, deletes [][2]int32) (*Graph, error) {
 			agg = append(agg, e)
 		}
 	}
-
-	// Merge the (sorted) existing edge stream with the sorted inserts,
-	// summing the surviving weight. It fits in int64 because g's total
-	// does; an aggregated weight may wrap here only when the result's
-	// total overflows, and that result is rejected below.
-	merged := make([]Edge, 0, g.NumEdges()+len(agg))
-	var total int64
-	i := 0
-	emit := func(e Edge) {
-		for i < len(agg) && less(agg[i], e) {
-			merged = append(merged, agg[i])
-			i++
-		}
-		if i < len(agg) && agg[i].U == e.U && agg[i].V == e.V {
-			e.Weight += agg[i].Weight
-			i++
-		}
-		merged = append(merged, e)
-	}
-	g.ForEachEdge(func(u, v int32, w int64) {
-		if del[pairKey(u, v)] {
-			// A same-pair insert after a delete starts a fresh edge; let the
-			// leading-insert loop in a later emit (or the tail drain) add it.
-			return
-		}
-		total += w
-		emit(Edge{U: u, V: v, Weight: w})
-	})
-	if insTotal > math.MaxInt64-total {
+	// The surviving weight fits in int64 because g's total does; checking
+	// the result's total here also keeps every merged weight below from
+	// wrapping.
+	if insTotal > math.MaxInt64-(g.TotalWeight()-delTotal) {
 		return nil, errTotalOverflow
 	}
-	for ; i < len(agg); i++ {
-		merged = append(merged, agg[i])
+
+	for _, e := range agg {
+		arcs = append(arcs, arcChange{from: e.U, to: e.V, add: e.Weight}, arcChange{from: e.V, to: e.U, add: e.Weight})
+	}
+	// Sort the arc changes by (from, to) and fold a pair's delete and
+	// insert into one change; each arc has at most one of each.
+	slices.SortFunc(arcs, func(a, b arcChange) int {
+		if a.from != b.from {
+			return int(a.from) - int(b.from)
+		}
+		return int(a.to) - int(b.to)
+	})
+	changes := arcs[:0]
+	for _, a := range arcs {
+		if k := len(changes) - 1; k >= 0 && changes[k].from == a.from && changes[k].to == a.to {
+			changes[k].del = changes[k].del || a.del
+			changes[k].add += a.add
+		} else {
+			changes = append(changes, a)
+		}
 	}
 
-	return fromSortedEdges(n, merged), nil
+	xadj := make([]int, n+1)
+	adj := make([]int32, 0, len(g.adj)+2*len(agg))
+	wgt := make([]int64, 0, len(g.adj)+2*len(agg))
+	deg := make([]int64, n)
+	// copyRun copies the untouched vertices [lo, hi) in bulk, shifting
+	// their offsets.
+	copyRun := func(lo, hi int) {
+		shift := len(adj) - g.xadj[lo]
+		for v := lo; v < hi; v++ {
+			xadj[v] = g.xadj[v] + shift
+		}
+		adj = append(adj, g.adj[g.xadj[lo]:g.xadj[hi]]...)
+		wgt = append(wgt, g.wgt[g.xadj[lo]:g.xadj[hi]]...)
+		copy(deg[lo:hi], g.deg[lo:hi])
+	}
+	next := 0 // first vertex not yet written
+	for c := 0; c < len(changes); {
+		t := changes[c].from
+		copyRun(next, int(t))
+		// Merge t's neighbour-sorted list with its changes, which are
+		// sorted by neighbour too.
+		xadj[t] = len(adj)
+		i, end := g.xadj[t], g.xadj[t+1]
+		for ; c < len(changes) && changes[c].from == t; c++ {
+			ch := changes[c]
+			j := i
+			for j < end && g.adj[j] < ch.to {
+				j++
+			}
+			adj, wgt = append(adj, g.adj[i:j]...), append(wgt, g.wgt[i:j]...)
+			w := ch.add
+			if j < end && g.adj[j] == ch.to {
+				if !ch.del {
+					w += g.wgt[j]
+				}
+				j++
+			}
+			if w > 0 {
+				adj, wgt = append(adj, ch.to), append(wgt, w)
+			}
+			i = j
+		}
+		adj, wgt = append(adj, g.adj[i:end]...), append(wgt, g.wgt[i:end]...)
+		var d int64
+		for _, w := range wgt[xadj[t]:] {
+			d += w
+		}
+		deg[t] = d
+		next = int(t) + 1
+	}
+	copyRun(next, n)
+	xadj[n] = len(adj)
+	return &Graph{xadj: xadj, adj: adj, wgt: wgt, deg: deg}, nil
 }
 
-// less orders edges by (U, V).
-func less(a, b Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
+// arcChange is one delta entry on the arc from→to: del removes the
+// existing arc, and add is the weight inserted after that.
+type arcChange struct {
+	from, to int32
+	del      bool
+	add      int64
 }
 
 // pairKey packs an ordered pair into a map key.
 func pairKey(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // fromSortedEdges assembles the CSR from an already sorted, aggregated,
-// validated edge list whose total weight fits in int64, the tail shared
-// by FromEdges and ApplyDelta.
+// validated edge list whose total weight fits in int64, the tail of
+// FromEdges.
 func fromSortedEdges(n int, agg []Edge) *Graph {
 	xadj := make([]int, n+1)
 	for _, e := range agg {

@@ -19,6 +19,13 @@ import (
 // Graph is a weighted undirected graph in CSR form. Every undirected edge
 // {u,v} is stored twice, once in the adjacency list of each endpoint, with
 // identical weight. Weights are strictly positive.
+//
+// Every adjacency list is sorted by neighbour id, strictly increasing: no
+// vertex lists a neighbour twice or itself. Every constructor keeps this
+// invariant (FromEdges and the Builder, Contract, ContractParallel,
+// InducedSubgraph, LargestComponent, Clone, ReduceSeries and ApplyDelta),
+// and code may rely on it: ApplyDelta merges sorted changes into the
+// lists, and Snapshot.Apply intersects two lists in one linear walk.
 type Graph struct {
 	xadj []int   // length n+1; adjacency of v is adj[xadj[v]:xadj[v+1]]
 	adj  []int32 // neighbor ids, length 2m
@@ -83,11 +90,15 @@ func (g *Graph) MinDegreeVertex() (int32, int64) {
 }
 
 // TotalWeight returns the sum of all edge weights (each undirected edge
-// counted once). The constructors guarantee that it fits in int64.
+// counted once). The constructors guarantee that it fits in int64, so the
+// weighted degrees, which count every edge twice, sum to twice it within
+// uint64; that sum costs O(n).
 func (g *Graph) TotalWeight() int64 {
-	var s int64
-	g.ForEachEdge(func(_, _ int32, w int64) { s += w })
-	return s
+	var s uint64
+	for _, d := range g.deg {
+		s += uint64(d)
+	}
+	return int64(s / 2)
 }
 
 // EdgeWeight returns the weight of edge {u,v}, or 0 if no such edge exists.
@@ -256,7 +267,9 @@ func (g *Graph) Clone() *Graph {
 }
 
 // Equal reports whether g and h have identical vertex counts and edge sets
-// (independent of adjacency ordering).
+// with identical weights. It compares Edges() element by element, which
+// lists each vertex's neighbours in adjacency order; the neighbour-sorted
+// invariant makes that order a function of the edge set.
 func Equal(g, h *Graph) bool {
 	if g.NumVertices() != h.NumVertices() || g.NumEdges() != h.NumEdges() {
 		return false

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -352,5 +354,82 @@ func TestDegreeHistogramSorted(t *testing.T) {
 		if h[i-1] > h[i] {
 			t.Fatalf("histogram not sorted at %d", i)
 		}
+	}
+}
+
+// checkNeighbourSorted fails unless every adjacency list of g is strictly
+// increasing and loop-free, the invariant documented on Graph.
+func checkNeighbourSorted(t *testing.T, label string, g *Graph) {
+	t.Helper()
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		nb := g.Neighbors(v)
+		for i := range nb {
+			if nb[i] == v || i > 0 && nb[i-1] >= nb[i] {
+				t.Fatalf("%s: adjacency of %d is not strictly increasing and loop-free: %v", label, v, nb)
+			}
+		}
+	}
+}
+
+// TestAdjacencyNeighbourSorted checks the neighbour-sorted invariant on
+// the output of every graph constructor, over random graphs, mappings,
+// subsets and deltas. Every 50th graph has over 4096 vertices, so that
+// ContractParallel really runs 4 workers.
+func TestAdjacencyNeighbourSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		check := func(label string, h *Graph) { checkNeighbourSorted(t, fmt.Sprintf("trial %d: %s", trial, label), h) }
+		n := 1 + rng.Intn(60)
+		if trial%50 == 0 {
+			n = 4096 + rng.Intn(1000)
+		}
+		g := randomGraph(rng, n, rng.Intn(3*n+1), 9)
+		if trial%5 == 1 {
+			// A weighted cycle, which the series reduction contracts.
+			b := NewBuilder(n)
+			for v := 0; v < n; v++ {
+				b.AddEdge(int32(v), int32((v+1)%n), 1+rng.Int63n(4))
+			}
+			g = b.MustBuild()
+		}
+		check("FromEdges", g)
+		check("Clone", g.Clone())
+
+		labels := make([]int32, n)
+		blocks := 1 + rng.Intn(n)
+		for i := range labels {
+			labels[i] = rng.Int31n(int32(blocks))
+		}
+		m := NewMappingFromLabels(labels)
+		check("Contract", g.Contract(m))
+		check("ContractParallel(1)", g.ContractParallel(m, 1))
+		check("ContractParallel(4)", g.ContractParallel(m, 4))
+
+		keep := make([]bool, n)
+		for i := range keep {
+			keep[i] = rng.Intn(3) > 0
+		}
+		sub, _ := g.InducedSubgraph(keep)
+		check("InducedSubgraph", sub)
+		lc, _ := g.LargestComponent()
+		check("LargestComponent", lc)
+		red, _, _, _ := g.ReduceSeries(Identity(n), 1, math.MaxInt64, nil)
+		check("ReduceSeries", red)
+
+		var deletes [][2]int32
+		g.ForEachEdge(func(u, v int32, _ int64) {
+			if rng.Intn(4) == 0 {
+				deletes = append(deletes, [2]int32{v, u})
+			}
+		})
+		var inserts []Edge
+		for k := rng.Intn(8); k > 0; k-- {
+			inserts = append(inserts, Edge{U: rng.Int31n(int32(n)), V: rng.Int31n(int32(n)), Weight: 1 + rng.Int63n(4)})
+		}
+		h, err := ApplyDelta(g, inserts, deletes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ApplyDelta", h)
 	}
 }

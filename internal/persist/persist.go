@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 )
 
 // Mutation is the wire form of one edge mutation, identical to the
@@ -189,34 +190,67 @@ type Checkpoint struct {
 	Edges    []Edge `json:"edges"`
 }
 
-// SaveCheckpoint writes ck to path atomically: marshal to path.tmp,
+// SaveCheckpoint writes ck to path atomically: stream it to path.tmp,
 // fsync, rename. A crash at any point leaves either the old checkpoint
-// or the new one, never a torn file.
+// or the new one, never a torn file. The file holds json.Marshal(ck) and
+// a newline, written edge by edge through a fixed-size buffer, so saving
+// allocates nothing proportional to the graph.
 func SaveCheckpoint(path string, ck Checkpoint) error {
-	buf, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(buf, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = writeCheckpoint(f, ck)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// writeCheckpoint writes the bytes of json.Marshal(ck) and a newline to
+// w: the fields in struct order, null for nil edges and [] for empty
+// ones.
+func writeCheckpoint(w io.Writer, ck Checkpoint) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	b := bw.AvailableBuffer()
+	b = append(b, `{"epoch":`...)
+	b = strconv.AppendUint(b, ck.Epoch, 10)
+	b = append(b, `,"vertices":`...)
+	b = strconv.AppendInt(b, int64(ck.Vertices), 10)
+	b = append(b, `,"edges":`...)
+	if ck.Edges == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+	}
+	bw.Write(b)
+	for i, e := range ck.Edges {
+		b := bw.AvailableBuffer()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"u":`...)
+		b = strconv.AppendInt(b, int64(e.U), 10)
+		b = append(b, `,"v":`...)
+		b = strconv.AppendInt(b, int64(e.V), 10)
+		b = append(b, `,"w":`...)
+		b = strconv.AppendInt(b, e.Weight, 10)
+		b = append(b, '}')
+		bw.Write(b)
+	}
+	if ck.Edges != nil {
+		bw.WriteByte(']')
+	}
+	bw.WriteString("}\n")
+	return bw.Flush() // bufio keeps the first write error until here
 }
 
 // LoadCheckpoint reads the checkpoint at path. ok is false (with a nil

@@ -1,8 +1,13 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -159,6 +164,50 @@ func TestCheckpointRoundTripAndAtomicity(t *testing.T) {
 	os.WriteFile(path, []byte(`{"epoch":`), 0o644)
 	if _, ok, err := LoadCheckpoint(path); ok || err == nil {
 		t.Fatalf("corrupt checkpoint: ok=%v err=%v, want error", ok, err)
+	}
+}
+
+// TestCheckpointBytesMatchMarshal: the streamed checkpoint file holds
+// exactly json.Marshal(ck) and a newline — null for nil edges, [] for
+// empty ones, and extreme values intact — and loads back unchanged.
+func TestCheckpointBytesMatchMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	random := make([]Edge, 20000) // more than one 64 KiB buffer
+	for i := range random {
+		random[i] = Edge{U: rng.Int31(), V: -rng.Int31(), Weight: rng.Int63() - rng.Int63()}
+	}
+	cases := map[string]Checkpoint{
+		"nil edges":   {Epoch: 3, Vertices: 5},
+		"empty edges": {Epoch: 0, Vertices: 0, Edges: []Edge{}},
+		"extremes": {Epoch: math.MaxUint64, Vertices: math.MaxInt, Edges: []Edge{
+			{U: math.MinInt32, V: math.MaxInt32, Weight: math.MinInt64}, {U: 0, V: 1, Weight: math.MaxInt64}}},
+		"random": {Epoch: 64, Vertices: 1 << 20, Edges: random},
+	}
+	dir := t.TempDir()
+	for name, ck := range cases {
+		path := filepath.Join(dir, "graph.ckpt")
+		if err := SaveCheckpoint(path, ck); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("%s: checkpoint file differs from json.Marshal (%d bytes, want %d)", name, len(got), len(want))
+		}
+		back, ok, err := LoadCheckpoint(path)
+		if err != nil || !ok {
+			t.Fatalf("%s: load: ok=%v err=%v", name, ok, err)
+		}
+		if back.Epoch != ck.Epoch || back.Vertices != ck.Vertices ||
+			(back.Edges == nil) != (ck.Edges == nil) || !slices.Equal(back.Edges, ck.Edges) {
+			t.Fatalf("%s: round trip changed the checkpoint", name)
+		}
 	}
 }
 

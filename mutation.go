@@ -106,8 +106,15 @@ type Reused struct {
 	// Each such deletion also leaves Lambda true (the cactus is dropped —
 	// the surviving cut family is unknown).
 	DeleteReuses int `json:"delete_reuses"`
+	// LocalCerts counts deletions that no cached minimum cut crosses and
+	// that the two endpoints' adjacency lists certified: the edge plus
+	// the two-hop paths through common neighbours give λ(u,v) ≥ λ+w+1, so
+	// the entire family was carried without a probe.
+	LocalCerts int `json:"local_certs"`
 	// CertifyCalls counts the CAPFOREST connectivity-certification probes
-	// run by the deletion rule.
+	// run by the deletion rule: one per deletion that no cached minimum
+	// cut crosses, that the adjacency lists could not certify, and whose
+	// endpoints' weighted degrees leave room for λ(u,v) ≥ λ+w+1.
 	CertifyCalls int `json:"certify_calls"`
 	// Rebuilds counts the CSR rebuilds performed. Mutations are batched:
 	// the CSR is rebuilt before each certification probe, before a delete

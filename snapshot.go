@@ -204,7 +204,7 @@ func (s *Snapshot) CactusCached() (*AllCuts, bool) { return s.cuts.peek() }
 //   - every cached minimum cut separates u,v: λ may grow; drop all.
 //
 // Deletion of {u,v} with weight w (lowers exactly the cuts separating
-// u and v, by w):
+// u and v, by w), tried in this order:
 //   - some cached minimum cut separates u,v (the λ−w rule): every cut
 //     value only drops if the cut separates u,v, and then by exactly w,
 //     so the separating minimum cuts land on λ−w and nothing can go
@@ -212,11 +212,27 @@ func (s *Snapshot) CactusCached() (*AllCuts, bool) { return s.cuts.peek() }
 //     that crosses {u,v}. λ and that witness are carried (counted in
 //     Reused.DeleteReuses); the surviving cut family is unknown, so the
 //     cactus is recomputed lazily.
-//   - no cached minimum cut separates u,v and a CAPFOREST probe
-//     certifies λ(u,v) ≥ λ+w+1 on the pre-deletion graph: every cut
-//     separating u,v stays strictly above λ after losing w, so the
-//     entire family is preserved.
-//   - certification inconclusive, w = 1, and the cactus is cached: the
+//   - otherwise the entire family survives if λ(u,v) ≥ λ+w+1 on the
+//     pre-deletion graph: then no minimum cut separates u,v, every cut
+//     separating u,v stays strictly above λ after losing w, and the
+//     other cuts keep their values. Three rules follow that find that
+//     this bound cannot hold or certify it.
+//   - the degree test: {u} and {v} separate u,v, so λ(u,v) ≤
+//     min(c(u), c(v)). If that is below λ+w+1, no probe can certify, so
+//     none runs, and the failed-probe rules below apply at once.
+//   - the local certificate (Padberg–Rinaldi's PR3, see internal/pr):
+//     if Σ_{x ∈ N(u)∩N(v)} min(c(u,x), c(v,x)) ≥ λ+1, the family is
+//     preserved with no probe (counted in Reused.LocalCerts). Proof: a
+//     cut separating u,v contains {u,v}, and for each common neighbour
+//     x, whichever side x is on, it contains {u,x} or {v,x}; these
+//     edges are distinct, so the cut weighs at least w + Σ ≥ λ+w+1.
+//     The sum walks the two adjacency lists of the last built CSR and
+//     skips the pairs deleted since; with no insert queued at a delete
+//     (see below), that is the graph at its position.
+//   - otherwise a CAPFOREST probe (core.CertifyConnectivity, which
+//     only certifies what holds) tries to certify λ(u,v) ≥ λ+w+1; on
+//     success the entire family is preserved.
+//   - certification failed, w = 1, and the cactus is cached: the
 //     cactus proves no minimum cut separates u,v, so separating cuts
 //     are ≥ λ+1 and stay ≥ λ — λ and the witness survive, but cuts may
 //     join the family at λ, so the cactus is recomputed lazily.
@@ -233,9 +249,10 @@ func (s *Snapshot) CactusCached() (*AllCuts, bool) { return s.cuts.peek() }
 // before a probe, before a delete that follows a queued insert, and
 // once at the end (Reused.Rebuilds counts them). A rebuild error, such
 // as a total edge weight past int64, names the range of mutations that
-// rebuild covered. On ctx cancellation (checked per mutation and inside
-// certification probes) no new snapshot is produced and the receiver's
-// caches are untouched.
+// rebuild covered, from the previous rebuild on; which deletes needed a
+// probe, and so a rebuild, decides where that range starts. On ctx
+// cancellation (checked per mutation and inside certification probes)
+// no new snapshot is produced and the receiver's caches are untouched.
 func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reused, error) {
 	var r Reused
 
@@ -264,7 +281,6 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 		cactOK = false
 	}
 
-	cur := s.g
 	certSeed := s.opts.Solve.Seed
 
 	// Every mutation joins one pending delta. graph.ApplyDelta deletes
@@ -273,24 +289,20 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 	// read the graph as of a mutation: a certification probe, a delete
 	// that follows a queued insert, and the end of the batch. The rules
 	// need nothing else: insert rules read only the cached cut and
-	// cactus, and a delete reads cur only with no insert queued, when
-	// cur minus the queued deletes (pendSet, normalized pairs) is the
-	// graph at its position. pendFrom is the first mutation the pending
-	// delta covers, so a rebuild error names the range it came from.
-	var pendIns []Edge
-	var pendDel [][2]int32
-	pendSet := make(map[[2]int32]bool)
+	// cactus, and a delete reads pend only with no insert queued, when
+	// its CSR minus the queued deletes is the graph at its position.
+	// pendFrom is the first mutation the pending delta covers, so a
+	// rebuild error names the range it came from.
+	pend := newPendingDelta(s.g)
 	pendFrom := 0
 	flush := func(end int) error {
-		if len(pendIns) == 0 && len(pendDel) == 0 {
+		if len(pend.ins) == 0 && len(pend.del) == 0 {
 			return nil
 		}
-		g, err := graph.ApplyDelta(cur, pendIns, pendDel)
-		if err != nil {
+		if err := pend.rebuild(); err != nil {
 			return fmt.Errorf("mincut: mutations %d..%d: %w", pendFrom, end-1, err)
 		}
-		cur, pendIns, pendDel, pendFrom = g, pendIns[:0], pendDel[:0], end
-		clear(pendSet)
+		pendFrom = end
 		r.Rebuilds++
 		return nil
 	}
@@ -321,19 +333,15 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 					lamOK, cactOK = false, false
 				}
 			}
-			pendIns = append(pendIns, Edge{U: m.U, V: m.V, Weight: m.Weight})
+			pend.ins = append(pend.ins, Edge{U: m.U, V: m.V, Weight: m.Weight})
 
 		case MutDelete:
-			if len(pendIns) > 0 {
+			if len(pend.ins) > 0 {
 				if err := flush(i); err != nil {
 					return nil, Reused{}, err
 				}
 			}
-			key := [2]int32{min(m.U, m.V), max(m.U, m.V)}
-			var w int64
-			if !pendSet[key] {
-				w = cur.EdgeWeight(m.U, m.V)
-			}
+			w := pend.weight(m.U, m.V)
 			if w == 0 {
 				return nil, Reused{}, errMissingEdge(i, m)
 			}
@@ -363,15 +371,25 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 						lamOK, cactOK = false, false
 					}
 				} else {
-					// The probe reads the graph as of this mutation.
-					if err := flush(i); err != nil {
-						return nil, Reused{}, err
-					}
-					r.CertifyCalls++
-					certSeed += 1000003
-					certified, err := core.CertifyConnectivity(ctx, cur, m.U, m.V, lam.Value+w+1, s.opts.Solve.Workers, certSeed)
-					if err != nil {
-						return nil, Reused{}, fmt.Errorf("mincut: mutation %d: certification interrupted: %w", i, err)
+					var certified bool
+					switch {
+					case pend.degree(m.U)-w <= lam.Value || pend.degree(m.V)-w <= lam.Value:
+						// λ(u,v) ≤ min(c(u), c(v)) < λ+w+1: no probe can certify.
+					case pend.triangles(m.U, m.V, lam.Value+1) > lam.Value:
+						certified = true
+						r.LocalCerts++
+					default:
+						// The probe reads the graph as of this mutation.
+						if err := flush(i); err != nil {
+							return nil, Reused{}, err
+						}
+						r.CertifyCalls++
+						certSeed += 1000003
+						var err error
+						certified, err = core.CertifyConnectivity(ctx, pend.g, m.U, m.V, lam.Value+w+1, s.opts.Solve.Workers, certSeed)
+						if err != nil {
+							return nil, Reused{}, fmt.Errorf("mincut: mutation %d: certification interrupted: %w", i, err)
+						}
 					}
 					switch {
 					case certified:
@@ -383,15 +401,14 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 					}
 				}
 			}
-			pendSet[key] = true
-			pendDel = append(pendDel, [2]int32{m.U, m.V})
+			pend.remove(m.U, m.V, w)
 		}
 	}
 	if err := flush(len(batch)); err != nil {
 		return nil, Reused{}, err
 	}
 
-	ns := NewSnapshot(cur, s.opts)
+	ns := NewSnapshot(pend.g, s.opts)
 	ns.epoch = s.epoch + 1
 	if lamOK {
 		ns.lambda.seed(lam)
@@ -402,6 +419,90 @@ func (s *Snapshot) Apply(ctx context.Context, batch []Mutation) (*Snapshot, Reus
 		r.Cactus = true
 	}
 	return ns, r, nil
+}
+
+// pendingDelta is the delta queued on g, the CSR last built, in
+// graph.ApplyDelta's terms: a run of deletes followed by a run of
+// inserts. With no insert queued, g minus the deletes is the graph at
+// the current mutation, which weight, degree and triangles read: gone
+// holds the deleted pairs and lost the weight each endpoint lost.
+type pendingDelta struct {
+	g    *graph.Graph
+	ins  []Edge
+	del  [][2]int32
+	gone map[[2]int32]bool // normalized deleted pairs
+	lost map[int32]int64
+}
+
+func newPendingDelta(g *graph.Graph) *pendingDelta {
+	return &pendingDelta{g: g, gone: map[[2]int32]bool{}, lost: map[int32]int64{}}
+}
+
+// pairOf orders an edge's endpoints into gone's key.
+func pairOf(u, v int32) [2]int32 { return [2]int32{min(u, v), max(u, v)} }
+
+// remove queues the delete of {u,v}, of weight w.
+func (p *pendingDelta) remove(u, v int32, w int64) {
+	p.del = append(p.del, [2]int32{u, v})
+	p.gone[pairOf(u, v)] = true
+	p.lost[u] += w
+	p.lost[v] += w
+}
+
+// rebuild applies the delta to g and empties it.
+func (p *pendingDelta) rebuild() error {
+	g, err := graph.ApplyDelta(p.g, p.ins, p.del)
+	if err != nil {
+		return err
+	}
+	p.g, p.ins, p.del = g, p.ins[:0], p.del[:0]
+	clear(p.gone)
+	clear(p.lost)
+	return nil
+}
+
+// weight returns c(u,v), 0 if there is no such edge.
+func (p *pendingDelta) weight(u, v int32) int64 {
+	if p.gone[pairOf(u, v)] {
+		return 0
+	}
+	return p.g.EdgeWeight(u, v)
+}
+
+// degree returns the weighted degree c(v).
+func (p *pendingDelta) degree(v int32) int64 { return p.g.WeightedDegree(v) - p.lost[v] }
+
+// triangles returns Σ_{x ∈ N(u)∩N(v)} min(c(u,x), c(v,x)), or need once
+// the sum reaches need. It walks the two neighbour-sorted lists of g in
+// O(deg u + deg v), skipping deleted pairs, and looks gone up only at an
+// endpoint that lost an edge.
+func (p *pendingDelta) triangles(u, v int32, need int64) int64 {
+	nu, wu := p.g.Neighbors(u), p.g.Weights(u)
+	nv, wv := p.g.Neighbors(v), p.g.Weights(v)
+	_, uTouched := p.lost[u]
+	_, vTouched := p.lost[v]
+	var sum int64
+	for i, j := 0, 0; i < len(nu) && j < len(nv); {
+		x := nu[i]
+		switch {
+		case x < nv[j]:
+			i++
+			continue
+		case x > nv[j]:
+			j++
+			continue
+		}
+		i, j = i+1, j+1
+		if uTouched && p.gone[pairOf(u, x)] || vTouched && p.gone[pairOf(v, x)] {
+			continue
+		}
+		c := min(wu[i-1], wv[j-1])
+		if c >= need-sum {
+			return need // saturate: the sum has reached need
+		}
+		sum += c
+	}
+	return sum
 }
 
 // cutFromAllCuts derives a MinCut-shaped certificate from an

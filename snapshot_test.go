@@ -107,9 +107,10 @@ func TestApplyReusesCertificates(t *testing.T) {
 
 	t.Run("non-crossing delete preserves family", func(t *testing.T) {
 		s := fresh()
-		// (2,3) is inside the first K5: no minimum cut separates them and
-		// λ(2,3)=4 ≥ λ+w+1=4, so certification proves the whole family
-		// survives.
+		// (2,3) is inside the first K5: no minimum cut separates them, and
+		// the edge plus its three common neighbours give λ(2,3) ≥ 1+3 =
+		// λ+w+1, so the adjacency lists alone prove the whole family
+		// survives, with no probe.
 		ns, r, err := s.Apply(ctx, []Mutation{DeleteEdge(2, 3)})
 		if err != nil {
 			t.Fatal(err)
@@ -117,8 +118,8 @@ func TestApplyReusesCertificates(t *testing.T) {
 		if !r.Lambda || !r.Cactus {
 			t.Fatalf("reused = %+v, want λ and cactus both carried", r)
 		}
-		if r.CertifyCalls != 1 {
-			t.Fatalf("certify calls = %d, want 1", r.CertifyCalls)
+		if r.CertifyCalls != 0 || r.LocalCerts != 1 {
+			t.Fatalf("certify calls = %d, local certificates = %d, want 0 and 1", r.CertifyCalls, r.LocalCerts)
 		}
 		if ns.Epoch() != 1 {
 			t.Fatalf("epoch = %d, want 1", ns.Epoch())
